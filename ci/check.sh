@@ -10,7 +10,9 @@
 #                         notice when clang-tidy is not installed)
 #   4. release            Release build with BIOSENS_WERROR=ON + the
 #                         full ctest suite
-#   5. tsan               ThreadSanitizer over the engine tests
+#   5. tsan               ThreadSanitizer over the engine tests and
+#                         the obs event sink (per-thread buffers,
+#                         recorder rings)
 #   6. ubsan              UndefinedBehaviorSanitizer over error paths
 #   7. asan               AddressSanitizer+LeakSanitizer over the
 #                         allocation-bearing engine/cache/obs tests
@@ -135,15 +137,15 @@ run_release() {
 }
 
 run_tsan() {
-  echo "=== [5/11] ThreadSanitizer: engine tests ==="
+  echo "=== [5/11] ThreadSanitizer: engine + obs tests ==="
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DBIOSENS_SANITIZE=thread
   cmake --build build-tsan -j "${JOBS}" \
-    --target test_engine test_engine_determinism test_rng
+    --target test_engine test_engine_determinism test_rng test_obs
   # halt_on_error: any reported race fails CI immediately.
   TSAN_OPTIONS="halt_on_error=1" \
-    ctest --test-dir build-tsan -R 'engine|rng' --output-on-failure
+    ctest --test-dir build-tsan -R 'engine|rng|obs' --output-on-failure
 }
 
 run_ubsan() {

@@ -15,7 +15,7 @@ std::string format_double(double v) {
   return buf;
 }
 
-/// The one place health reasons are minted (recorder-discipline lint):
+/// The one place health reasons are minted (span-discipline lint):
 /// records the reason and raises the report's state monotonically.
 void add_reason(HealthReport& report, HealthState severity,
                 std::string_view code, std::string detail) {

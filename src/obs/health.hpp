@@ -16,7 +16,7 @@
 // it never cancels work — so byte-identity is untouched.
 //
 // Health reasons are constructed only inside src/obs/ (the add_reason
-// primitive is linted by ci/check.sh recorder-discipline); other layers
+// primitive is linted by ci/check.sh span-discipline); other layers
 // describe their state through HealthInputs and let the policy speak.
 #pragma once
 

@@ -3,28 +3,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <utility>
 
 #include "obs/json_util.hpp"
 
 namespace biosens::obs {
 namespace {
-
-// Bumped on every install(); lets a thread detect that its cached ring
-// pointer belongs to a dead recorder window (same scheme as the trace
-// session's generation counter).
-std::atomic<std::uint64_t> g_recorder_generation{0};
-
-struct RecorderSlot {
-  FlightRecorder* recorder = nullptr;
-  std::uint64_t generation = 0;
-  void* ring = nullptr;
-};
-
-RecorderSlot& recorder_slot() {
-  thread_local RecorderSlot slot;
-  return slot;
-}
 
 constexpr double kNanosPerMilli = 1e6;
 
@@ -35,37 +20,37 @@ std::string format_ms(std::uint64_t ns) {
   return buf;
 }
 
-void append_event_json(std::string& out, const RecorderEvent& ev) {
+void append_event_json(std::string& out, const SpanEvent& ev) {
   out += "{\"ts_ns\":";
-  out += std::to_string(ev.event.ts_ns);
+  out += std::to_string(ev.ts_ns);
   out += ",\"phase\":\"";
-  out += to_string(ev.event.phase);
+  out += to_string(ev.phase);
   out += "\",\"layer\":\"";
-  out += to_string(ev.event.layer);
+  out += to_string(ev.layer);
   out += "\",\"name\":\"";
-  out += json_escape(ev.event.name);
+  out += json_escape(ev.name);
   out += "\",\"dur_ns\":";
   out += std::to_string(ev.dur_ns);
   out += ",\"failed\":";
-  out += ev.event.failed ? "true" : "false";
+  out += ev.failed ? "true" : "false";
   out += ",\"tenant\":\"";
   out += json_escape(ev.tenant);
   out += "\",\"session\":";
   out += std::to_string(ev.session_id);
   out += ",\"detail\":\"";
-  out += json_escape(ev.event.detail);
+  out += json_escape(ev.detail);
   out += "\"}";
 }
 
-void append_event_text(std::string& out, const RecorderEvent& ev) {
+void append_event_text(std::string& out, const SpanEvent& ev) {
   out += "  [";
-  out += format_ms(ev.event.ts_ns);
+  out += format_ms(ev.ts_ns);
   out += " ms] ";
-  out += to_string(ev.event.layer);
+  out += to_string(ev.layer);
   out += " ";
-  out += to_string(ev.event.phase);
+  out += to_string(ev.phase);
   out += " ";
-  out += ev.event.name;
+  out += ev.name;
   if (ev.dur_ns > 0) {
     out += " dur=";
     out += format_ms(ev.dur_ns);
@@ -75,10 +60,10 @@ void append_event_text(std::string& out, const RecorderEvent& ev) {
     out += " tenant=";
     out += ev.tenant;
   }
-  if (ev.event.failed) out += " FAILED";
-  if (!ev.event.detail.empty()) {
+  if (ev.failed) out += " FAILED";
+  if (!ev.detail.empty()) {
     out += " (";
-    out += ev.event.detail;
+    out += ev.detail;
     out += ")";
   }
   out += "\n";
@@ -152,111 +137,28 @@ std::string RecorderDump::to_text() const {
   if (!tenant_tail.empty()) {
     out += "tenant tail (" + tenant + ", last " +
            std::to_string(tenant_tail.size()) + "):\n";
-    for (const RecorderEvent& ev : tenant_tail) {
+    for (const SpanEvent& ev : tenant_tail) {
       append_event_text(out, ev);
     }
   }
   return out;
 }
 
-std::atomic<FlightRecorder*>& FlightRecorder::current_recorder() {
-  static std::atomic<FlightRecorder*> current{nullptr};
-  return current;
-}
-
-FlightRecorder* FlightRecorder::current() {
-  return current_recorder().load(std::memory_order_acquire);
-}
-
 FlightRecorder::FlightRecorder(FlightRecorderOptions options)
-    : options_(std::move(options)) {
-  if (options_.ring_capacity_per_thread == 0) {
-    options_.ring_capacity_per_thread = 1;
-  }
-}
+    : EventLog(Retention::kOverwriteRing, options.ring_capacity_per_thread),
+      options_(std::move(options)) {}
 
 FlightRecorder::~FlightRecorder() { uninstall(); }
 
 void FlightRecorder::install() {
-  if (installed_.load(std::memory_order_relaxed)) return;
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    rings_.clear();
-  }
-  recorded_.store(0, std::memory_order_relaxed);
-  overwritten_.store(0, std::memory_order_relaxed);
+  if (installed()) return;
   triggers_.store(0, std::memory_order_relaxed);
   triggered_.store(false, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(trigger_mutex_);
     first_dump_ = RecorderDump{};
   }
-  generation_ =
-      g_recorder_generation.fetch_add(1, std::memory_order_relaxed) + 1;
-  epoch_ = std::chrono::steady_clock::now();
-  installed_.store(true, std::memory_order_relaxed);
-  current_recorder().store(this, std::memory_order_release);
-}
-
-void FlightRecorder::uninstall() {
-  if (!installed_.load(std::memory_order_relaxed)) return;
-  FlightRecorder* expected = this;
-  current_recorder().compare_exchange_strong(expected, nullptr,
-                                             std::memory_order_acq_rel);
-  installed_.store(false, std::memory_order_relaxed);
-  // Rings stay in place for post-hoc dump(); the next install() clears
-  // them.
-}
-
-std::uint64_t FlightRecorder::now_ns() const {
-  return ns_since_install(std::chrono::steady_clock::now());
-}
-
-std::uint64_t FlightRecorder::ns_since_install(
-    std::chrono::steady_clock::time_point tp) const {
-  const auto delta =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(tp - epoch_)
-          .count();
-  return delta > 0 ? static_cast<std::uint64_t>(delta) : 0;
-}
-
-FlightRecorder::ThreadRing* FlightRecorder::ring_for_this_thread() {
-  RecorderSlot& slot = recorder_slot();
-  if (slot.recorder == this && slot.generation == generation_) {
-    return static_cast<ThreadRing*>(slot.ring);
-  }
-  auto owned = std::make_unique<ThreadRing>();
-  ThreadRing* ring = owned.get();
-  ring->slots.resize(options_.ring_capacity_per_thread);
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    ring->tid = rings_.size() + 1;
-    rings_.push_back(std::move(owned));
-  }
-  slot.recorder = this;
-  slot.generation = generation_;
-  slot.ring = ring;
-  return ring;
-}
-
-void FlightRecorder::record_event(RecorderEvent&& event) {
-  // Attribute from the calling thread's context frame unless the
-  // caller (a trigger) already pinned a tenant.
-  if (event.tenant.empty() && g_context_frame != nullptr) {
-    // The frame's fields are private to ScopedContext but we are the
-    // enclosing class.
-    event.tenant = g_context_frame->tenant_;
-    event.session_id = g_context_frame->session_id_;
-  }
-  ThreadRing* ring = ring_for_this_thread();
-  std::lock_guard<std::mutex> lock(ring->mutex);
-  const std::size_t cap = ring->slots.size();
-  if (ring->next >= cap) {
-    overwritten_.fetch_add(1, std::memory_order_relaxed);
-  }
-  ring->slots[ring->next % cap] = std::move(event);
-  ++ring->next;
-  recorded_.fetch_add(1, std::memory_order_relaxed);
+  EventLog::install();
 }
 
 FlightRecorder::ScopedContext::ScopedContext(std::string_view tenant,
@@ -271,44 +173,48 @@ FlightRecorder::ScopedContext::ScopedContext(std::string_view tenant,
 
 FlightRecorder::ScopedContext::~ScopedContext() {
   if (!active_) return;
-  g_context_frame = static_cast<ScopedContext*>(previous_);
+  g_context_frame = previous_;
+}
+
+void FlightRecorder::ScopedContext::attribute(SpanEvent& event) {
+  if (!event.tenant.empty() || g_context_frame == nullptr) return;
+  event.tenant = g_context_frame->tenant_;
+  event.session_id = g_context_frame->session_id_;
 }
 
 void FlightRecorder::trigger_overload(std::string_view tenant,
                                       std::string_view detail) {
   FlightRecorder* recorder = current();
   if (recorder == nullptr) return;
-  recorder->trigger("overloaded", tenant, detail,
-                    recorder->options_.trigger_on_overload);
+  recorder->trigger("overloaded", tenant, detail);
 }
 
 void FlightRecorder::trigger_job_failure(std::string_view tenant,
                                          std::string_view detail) {
   FlightRecorder* recorder = current();
-  if (recorder == nullptr) return;
-  recorder->trigger("job-failure", tenant, detail,
-                    recorder->options_.trigger_on_job_failure);
+  if (recorder == nullptr || !recorder->options_.trigger_on_job_failure) {
+    return;
+  }
+  recorder->trigger("job-failure", tenant, detail);
 }
 
 void FlightRecorder::trigger(std::string_view reason,
                              std::string_view tenant,
-                             std::string_view detail, bool enabled) {
-  if (!enabled) return;
+                             std::string_view detail) {
   // Mark the incident in the ring itself, attributed to the failing
   // tenant, so even a tenant with no completed spans yet has a tail.
-  RecorderEvent marker;
-  marker.event.phase = EventPhase::kInstant;
-  marker.event.layer = Layer::kService;
-  marker.event.name = "recorder-trigger";
-  marker.event.ts_ns = now_ns();
-  marker.event.failed = true;
-  marker.event.detail = std::string(reason);
+  SpanEvent marker;
+  marker.phase = EventPhase::kInstant;
+  marker.layer = Layer::kService;
+  marker.name = "recorder-trigger";
+  marker.failed = true;
+  marker.detail = std::string(reason);
   if (!detail.empty()) {
-    marker.event.detail += ": ";
-    marker.event.detail += detail;
+    marker.detail += ": ";
+    marker.detail += detail;
   }
   marker.tenant = std::string(tenant);
-  record_event(std::move(marker));
+  emit_span_event(std::move(marker), std::chrono::steady_clock::now());
   triggers_.fetch_add(1, std::memory_order_relaxed);
 
   bool expected = false;
@@ -333,34 +239,26 @@ RecorderDump FlightRecorder::dump(std::string_view reason,
   out.tenant = std::string(tenant);
   out.detail = std::string(detail);
   out.dump_ts_ns = now_ns();
-  out.recorded = recorded_events();
-  out.overwritten = overwritten_events();
   out.triggers = trigger_count();
-  {
-    std::lock_guard<std::mutex> registry_lock(registry_mutex_);
-    for (const auto& ring : rings_) {
-      std::lock_guard<std::mutex> lock(ring->mutex);
-      const std::size_t cap = ring->slots.size();
-      const std::uint64_t first =
-          ring->next > cap ? ring->next - cap : 0;
-      for (std::uint64_t i = first; i < ring->next; ++i) {
-        out.events.push_back(ring->slots[i % cap]);
-      }
-    }
+  for (ThreadTrack& track : tracks()) {
+    out.recorded += track.events.size() + track.lost;
+    out.overwritten += track.lost;
+    std::move(track.events.begin(), track.events.end(),
+              std::back_inserter(out.events));
   }
   std::stable_sort(out.events.begin(), out.events.end(),
-                   [](const RecorderEvent& a, const RecorderEvent& b) {
-                     return a.event.ts_ns < b.event.ts_ns;
+                   [](const SpanEvent& a, const SpanEvent& b) {
+                     return a.ts_ns < b.ts_ns;
                    });
   if (!out.tenant.empty()) {
-    for (const RecorderEvent& ev : out.events) {
+    for (const SpanEvent& ev : out.events) {
       if (ev.tenant == out.tenant) out.tenant_tail.push_back(ev);
     }
-    if (out.tenant_tail.size() > options_.dump_last_n) {
+    if (out.tenant_tail.size() > RecorderDump::kDumpLastN) {
       out.tenant_tail.erase(
           out.tenant_tail.begin(),
           out.tenant_tail.end() -
-              static_cast<std::ptrdiff_t>(options_.dump_last_n));
+              static_cast<std::ptrdiff_t>(RecorderDump::kDumpLastN));
     }
   }
   return out;

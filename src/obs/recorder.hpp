@@ -3,11 +3,12 @@
 // Tracing (span.hpp) answers "what happened during the window I chose
 // to record"; the flight recorder answers "what just happened" — it is
 // meant to be installed for the whole life of a resident process and to
-// cost near-zero while nothing consumes it. Every completed ObsSpan and
-// every TraceSession::instant also lands here (same SpanEvent
-// vocabulary), but into fixed-capacity per-thread rings that overwrite
-// their oldest entries instead of growing: memory is bounded forever,
-// and the recorder always holds the most recent events.
+// cost near-zero while nothing consumes it. It is the same EventLog a
+// TraceSession is, with the other retention policy: every completed
+// ObsSpan (one kEnd event carrying its duration) and every
+// TraceSession::instant lands in fixed-capacity per-thread rings that
+// overwrite their oldest entries instead of growing, so memory is
+// bounded forever and the recorder always holds the most recent events.
 //
 // Each recorded event carries the tenant/session attribution that was
 // active on the recording thread (FlightRecorder::ScopedContext — the
@@ -24,18 +25,13 @@
 // Like tracing, the recorder observes and never perturbs: it reads the
 // steady clock and its own rings only, never an Rng stream, so results
 // stay byte-identical with the recorder installed or not
-// (docs/operations.md).
-//
-// Raw event emission (record_event / RecorderEvent construction) is
-// confined to src/obs/ — outside it, code attributes via ScopedContext
-// and signals via the trigger_* helpers (enforced by the
-// recorder-discipline lint in ci/check.sh).
+// (docs/operations.md). Outside src/obs/, code attributes via
+// ScopedContext and signals via the trigger_* helpers; raw emission is
+// confined by the span-discipline lint.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -49,23 +45,11 @@ struct FlightRecorderOptions {
   /// Fixed ring capacity per recording thread; the ring overwrites its
   /// oldest event once full (counted in overwritten_events()).
   std::size_t ring_capacity_per_thread = 4096;
-  /// Tail length of the per-tenant event list a dump isolates.
-  std::size_t dump_last_n = 128;
   /// When non-empty, the first trigger writes the JSON dump here.
   std::string auto_dump_path;
-  /// Which trigger kinds may latch the auto dump.
-  bool trigger_on_overload = true;
+  /// Whether job failures may latch the auto dump (overloads always
+  /// may).
   bool trigger_on_job_failure = true;
-};
-
-/// One flight-recorder entry: a trace event plus the duration (kEnd
-/// events record the whole span as one entry) and the tenant/session
-/// attribution active on the recording thread.
-struct RecorderEvent {
-  SpanEvent event;            ///< ts_ns is relative to install() time
-  std::uint64_t dur_ns = 0;   ///< span duration; 0 for instants
-  std::string tenant;         ///< ScopedContext attribution ("" = none)
-  std::uint64_t session_id = 0;
 };
 
 /// A frozen snapshot of the recorder, renderable as JSON or text.
@@ -78,42 +62,38 @@ struct RecorderDump {
   std::uint64_t overwritten = 0;  ///< events lost to ring wraparound
   std::uint64_t triggers = 0;     ///< triggers seen so far
   /// Every surviving event across all rings, in timestamp order.
-  std::vector<RecorderEvent> events;
-  /// The last-N surviving events attributed to `tenant` (empty for
-  /// manual dumps with no tenant filter).
-  std::vector<RecorderEvent> tenant_tail;
+  std::vector<SpanEvent> events;
+  /// The last kDumpLastN surviving events attributed to `tenant` (empty
+  /// for manual dumps with no tenant filter).
+  std::vector<SpanEvent> tenant_tail;
+
+  static constexpr std::size_t kDumpLastN = 128;
 
   [[nodiscard]] std::string to_json() const;
   [[nodiscard]] std::string to_text() const;
 };
 
-/// The process-wide flight recorder. install() publishes it (at most
-/// one active, mirroring TraceSession); every ObsSpan end and instant
-/// then records into the calling thread's ring until uninstall().
-/// While none is installed the cost at each span is one relaxed atomic
-/// load.
-class FlightRecorder {
+/// The process-wide flight recorder: the overwrite-ring EventLog plus
+/// trigger latching. install() publishes it (at most one active,
+/// mirroring TraceSession); every ObsSpan end and instant then records
+/// into the calling thread's ring until uninstall(). While none is
+/// installed the cost at each span is one atomic load.
+class FlightRecorder : private EventLog {
  public:
   explicit FlightRecorder(FlightRecorderOptions options = {});
   ~FlightRecorder();
 
-  FlightRecorder(const FlightRecorder&) = delete;
-  FlightRecorder& operator=(const FlightRecorder&) = delete;
-
   void install();
-  void uninstall();
-  [[nodiscard]] bool installed() const {
-    return installed_.load(std::memory_order_relaxed);
+  using EventLog::installed;
+  using EventLog::uninstall;
+  using EventLog::now_ns;
+
+  /// The installed recorder, or nullptr. One atomic load: the whole
+  /// disabled-path cost at each span.
+  [[nodiscard]] static FlightRecorder* current() {
+    return static_cast<FlightRecorder*>(
+        installed_log(Retention::kOverwriteRing));
   }
-
-  /// The installed recorder, or nullptr. One relaxed-ish atomic load:
-  /// the whole disabled-path cost at each span.
-  [[nodiscard]] static FlightRecorder* current();
-
-  /// Steady-clock nanoseconds since install().
-  [[nodiscard]] std::uint64_t now_ns() const;
-  [[nodiscard]] std::uint64_t ns_since_install(
-      std::chrono::steady_clock::time_point tp) const;
 
   /// RAII tenant/session attribution for the calling thread. Every
   /// event recorded while the guard lives carries the tenant tag;
@@ -126,12 +106,14 @@ class FlightRecorder {
     ScopedContext(const ScopedContext&) = delete;
     ScopedContext& operator=(const ScopedContext&) = delete;
 
-   private:
-    friend class FlightRecorder;  // record_event reads the frame
+    /// Tags `event` with the calling thread's innermost context unless
+    /// it already names a tenant.
+    static void attribute(SpanEvent& event);
 
+   private:
     std::string tenant_;
     std::uint64_t session_id_ = 0;
-    void* previous_ = nullptr;
+    ScopedContext* previous_ = nullptr;
     bool active_ = false;
   };
 
@@ -160,10 +142,11 @@ class FlightRecorder {
     return triggers_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t recorded_events() const {
-    return recorded_.load(std::memory_order_relaxed);
+    const Counts c = counts();
+    return c.retained + c.lost;
   }
   [[nodiscard]] std::uint64_t overwritten_events() const {
-    return overwritten_.load(std::memory_order_relaxed);
+    return counts().lost;
   }
 
   [[nodiscard]] const FlightRecorderOptions& options() const {
@@ -171,35 +154,12 @@ class FlightRecorder {
   }
 
  private:
-  friend class ObsSpan;
-  friend class TraceSession;
+  friend class TraceSession;  // TraceSession::publish records here
 
-  struct ThreadRing {
-    std::mutex mutex;
-    std::uint64_t tid = 0;
-    std::vector<RecorderEvent> slots;  ///< fixed capacity, preallocated
-    std::uint64_t next = 0;            ///< events ever recorded here
-  };
-
-  static std::atomic<FlightRecorder*>& current_recorder();
-
-  /// The raw emission primitive. Private on purpose: outside src/obs/
-  /// events enter only through ObsSpan / TraceSession::instant
-  /// (friends) and the trigger_* helpers — enforced here and linted by
-  /// ci/check.sh (recorder-discipline).
-  void record_event(RecorderEvent&& event);
-  ThreadRing* ring_for_this_thread();
   void trigger(std::string_view reason, std::string_view tenant,
-               std::string_view detail, bool enabled);
+               std::string_view detail);
 
   FlightRecorderOptions options_;
-  std::atomic<bool> installed_{false};
-  std::uint64_t generation_ = 0;
-  std::chrono::steady_clock::time_point epoch_{};
-  mutable std::mutex registry_mutex_;
-  std::vector<std::unique_ptr<ThreadRing>> rings_;
-  std::atomic<std::uint64_t> recorded_{0};
-  std::atomic<std::uint64_t> overwritten_{0};
   std::atomic<std::uint64_t> triggers_{0};
   std::atomic<bool> triggered_{false};
   mutable std::mutex trigger_mutex_;

@@ -8,21 +8,21 @@
 namespace biosens::obs {
 namespace {
 
-// Bumped on every TraceSession::start(); lets a thread detect that its
-// cached buffer pointer belongs to a dead recording window without
-// touching the session it points at.
-std::atomic<std::uint64_t> g_session_generation{0};
+using Clock = std::chrono::steady_clock;
+
+// Bumped on every install() of any log; lets a thread detect that its
+// cached buffer pointer belongs to a dead window without touching the
+// log it points at.
+std::atomic<std::uint64_t> g_generation{0};
 
 struct ThreadSlot {
-  TraceSession* session = nullptr;
   std::uint64_t generation = 0;
   void* buffer = nullptr;
 };
 
-ThreadSlot& thread_slot() {
-  thread_local ThreadSlot slot;
-  return slot;
-}
+// One cached buffer per retention policy, so a thread feeding both the
+// trace session and the flight recorder keeps both buffers warm.
+thread_local std::array<ThreadSlot, 2> t_slots;
 
 constexpr double kNanosPerSecond = 1e9;
 
@@ -39,58 +39,44 @@ std::string_view to_string(EventPhase phase) {
   return "unknown";
 }
 
-std::atomic<TraceSession*>& TraceSession::current_session() {
-  static std::atomic<TraceSession*> current{nullptr};
-  return current;
-}
+// -- EventLog ----------------------------------------------------------
 
-TraceSession::TraceSession(TraceSessionOptions options)
-    : options_(options) {}
+EventLog::EventLog(Retention retention, std::size_t capacity_per_thread)
+    : retention_(retention),
+      capacity_(retention == Retention::kOverwriteRing
+                    ? std::max<std::size_t>(capacity_per_thread, 1)
+                    : capacity_per_thread) {}
 
-TraceSession::~TraceSession() { stop(); }
-
-void TraceSession::start() {
-  if (active_.load(std::memory_order_relaxed)) return;
+void EventLog::install() {
   {
     std::lock_guard<std::mutex> lock(registry_mutex_);
     buffers_.clear();
   }
-  for (auto& h : layer_latency_) h.reset();
-  for (auto& c : layer_failures_) c.reset();
-  spans_.store(0, std::memory_order_relaxed);
-  failed_spans_.store(0, std::memory_order_relaxed);
-  dropped_.store(0, std::memory_order_relaxed);
-  generation_ =
-      g_session_generation.fetch_add(1, std::memory_order_relaxed) + 1;
-  epoch_ = std::chrono::steady_clock::now();
-  active_.store(true, std::memory_order_relaxed);
-  current_session().store(this, std::memory_order_release);
+  generation_ = g_generation.fetch_add(1, std::memory_order_relaxed) + 1;
+  epoch_ = Clock::now();
+  installed_[static_cast<std::size_t>(retention_)].store(
+      this, std::memory_order_release);
 }
 
-void TraceSession::stop() {
-  if (!active_.load(std::memory_order_relaxed)) return;
-  TraceSession* expected = this;
-  current_session().compare_exchange_strong(expected, nullptr,
-                                            std::memory_order_acq_rel);
-  active_.store(false, std::memory_order_relaxed);
-  // Events stay in buffers_ for export; the next start() clears them.
+void EventLog::uninstall() {
+  EventLog* expected = this;
+  installed_[static_cast<std::size_t>(retention_)].compare_exchange_strong(
+      expected, nullptr, std::memory_order_acq_rel);
+  // Events stay in buffers_ for export; the next install() clears them.
 }
 
-std::uint64_t TraceSession::now_ns() const {
-  return ns_since_epoch(std::chrono::steady_clock::now());
-}
+std::uint64_t EventLog::now_ns() const { return ns_since_epoch(Clock::now()); }
 
-std::uint64_t TraceSession::ns_since_epoch(
-    std::chrono::steady_clock::time_point tp) const {
+std::uint64_t EventLog::ns_since_epoch(Clock::time_point tp) const {
   const auto delta =
       std::chrono::duration_cast<std::chrono::nanoseconds>(tp - epoch_)
           .count();
   return delta > 0 ? static_cast<std::uint64_t>(delta) : 0;
 }
 
-TraceSession::ThreadBuffer* TraceSession::buffer_for_this_thread() {
-  ThreadSlot& slot = thread_slot();
-  if (slot.session == this && slot.generation == generation_) {
+EventLog::ThreadBuffer* EventLog::buffer_for_this_thread() {
+  ThreadSlot& slot = t_slots[static_cast<std::size_t>(retention_)];
+  if (slot.generation == generation_) {
     return static_cast<ThreadBuffer*>(slot.buffer);
   }
   auto owned = std::make_unique<ThreadBuffer>();
@@ -100,26 +86,97 @@ TraceSession::ThreadBuffer* TraceSession::buffer_for_this_thread() {
     buffer->tid = buffers_.size() + 1;
     buffers_.push_back(std::move(owned));
   }
-  slot.session = this;
   slot.generation = generation_;
   slot.buffer = buffer;
   return buffer;
 }
 
-void TraceSession::emit_span_event(SpanEvent&& event) {
+void EventLog::emit_span_event(SpanEvent&& event, Clock::time_point at) {
+  event.ts_ns = ns_since_epoch(at);
   ThreadBuffer* buffer = buffer_for_this_thread();
   std::lock_guard<std::mutex> lock(buffer->mutex);
-  if (buffer->events.size() >= options_.max_events_per_thread) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
+  if (buffer->size < capacity_) {
+    if (buffer->size % kChunkEvents == 0) {
+      buffer->chunks.emplace_back().reserve(
+          std::min(kChunkEvents, capacity_ - buffer->size));
+    }
+    buffer->chunks.back().push_back(std::move(event));
+    ++buffer->size;
+  } else if (retention_ == Retention::kOverwriteRing) {
+    buffer->at(buffer->emitted % capacity_) = std::move(event);
   }
-  buffer->events.push_back(std::move(event));
+  ++buffer->emitted;
 }
 
-void TraceSession::record_span(Layer layer, double seconds, bool failed) {
+std::vector<ThreadTrack> EventLog::tracks() const {
+  std::vector<ThreadTrack> out;
+  std::lock_guard<std::mutex> registry_lock(registry_mutex_);
+  out.reserve(buffers_.size());
+  for (const auto& buffer : buffers_) {
+    ThreadTrack track;
+    track.tid = buffer->tid;
+    std::lock_guard<std::mutex> lock(buffer->mutex);
+    const std::size_t size = buffer->size;
+    // A wrapped ring's oldest event sits at the next write position.
+    const std::size_t oldest =
+        retention_ == Retention::kOverwriteRing && size > 0
+            ? buffer->emitted % size
+            : 0;
+    track.events.reserve(size);
+    for (std::size_t k = 0; k < size; ++k) {
+      track.events.push_back(buffer->at((oldest + k) % size));
+    }
+    track.lost = buffer->emitted - size;
+    out.push_back(std::move(track));
+  }
+  return out;
+}
+
+EventLog::Counts EventLog::counts() const {
+  Counts total;
+  std::lock_guard<std::mutex> registry_lock(registry_mutex_);
+  for (const auto& buffer : buffers_) {
+    std::lock_guard<std::mutex> lock(buffer->mutex);
+    total.retained += buffer->size;
+    total.lost += buffer->emitted - buffer->size;
+  }
+  return total;
+}
+
+// -- TraceSession ------------------------------------------------------
+
+TraceSession::TraceSession(TraceSessionOptions options)
+    : EventLog(Retention::kBoundedAppend, options.max_events_per_thread) {}
+
+TraceSession::~TraceSession() { stop(); }
+
+void TraceSession::start() {
+  if (active()) return;
+  for (auto& h : layer_latency_) h.reset();
+  for (auto& c : layer_failures_) c.reset();
+  spans_.store(0, std::memory_order_relaxed);
+  failed_spans_.store(0, std::memory_order_relaxed);
+  install();
+}
+
+void TraceSession::stop() { uninstall(); }
+
+void TraceSession::publish(TraceSession* session, FlightRecorder* recorder,
+                           SpanEvent&& event, Clock::time_point at) {
+  if (recorder != nullptr) {
+    SpanEvent copy = session != nullptr ? event : std::move(event);
+    FlightRecorder::ScopedContext::attribute(copy);
+    recorder->emit_span_event(std::move(copy), at);
+  }
+  if (session != nullptr) session->emit_span_event(std::move(event), at);
+}
+
+void TraceSession::record_span(Layer layer, std::uint64_t dur_ns,
+                               bool failed) {
   const auto index = static_cast<std::size_t>(layer);
   if (index < kLayerCount) {
-    layer_latency_[index].record(seconds);
+    layer_latency_[index].record(static_cast<double>(dur_ns) /
+                                 kNanosPerSecond);
     if (failed) layer_failures_[index].increment();
   }
   spans_.fetch_add(1, std::memory_order_relaxed);
@@ -131,24 +188,12 @@ void TraceSession::instant(Layer layer, std::string_view name,
   TraceSession* session = current();
   FlightRecorder* recorder = FlightRecorder::current();
   if (session == nullptr && recorder == nullptr) return;
-  if (session != nullptr) {
-    SpanEvent event;
-    event.phase = EventPhase::kInstant;
-    event.layer = layer;
-    event.name = std::string(name);
-    event.ts_ns = session->now_ns();
-    event.detail = std::string(detail);
-    session->emit_span_event(std::move(event));
-  }
-  if (recorder != nullptr) {
-    RecorderEvent event;
-    event.event.phase = EventPhase::kInstant;
-    event.event.layer = layer;
-    event.event.name = std::string(name);
-    event.event.ts_ns = recorder->now_ns();
-    event.event.detail = std::string(detail);
-    recorder->record_event(std::move(event));
-  }
+  SpanEvent event;
+  event.phase = EventPhase::kInstant;
+  event.layer = layer;
+  event.name = std::string(name);
+  event.detail = std::string(detail);
+  publish(session, recorder, std::move(event), Clock::now());
 }
 
 void TraceSession::async_begin(Layer layer, std::string_view name,
@@ -159,9 +204,8 @@ void TraceSession::async_begin(Layer layer, std::string_view name,
   event.phase = EventPhase::kAsyncBegin;
   event.layer = layer;
   event.name = std::string(name);
-  event.ts_ns = session->now_ns();
   event.id = id;
-  session->emit_span_event(std::move(event));
+  publish(session, nullptr, std::move(event), Clock::now());
 }
 
 void TraceSession::async_end(Layer layer, std::string_view name,
@@ -172,29 +216,8 @@ void TraceSession::async_end(Layer layer, std::string_view name,
   event.phase = EventPhase::kAsyncEnd;
   event.layer = layer;
   event.name = std::string(name);
-  event.ts_ns = session->now_ns();
   event.id = id;
-  session->emit_span_event(std::move(event));
-}
-
-std::vector<ThreadTrack> TraceSession::tracks() const {
-  std::vector<ThreadTrack> out;
-  std::lock_guard<std::mutex> registry_lock(registry_mutex_);
-  out.reserve(buffers_.size());
-  for (const auto& buffer : buffers_) {
-    ThreadTrack track;
-    track.tid = buffer->tid;
-    {
-      std::lock_guard<std::mutex> lock(buffer->mutex);
-      track.events = buffer->events;
-    }
-    out.push_back(std::move(track));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const ThreadTrack& a, const ThreadTrack& b) {
-              return a.tid < b.tid;
-            });
-  return out;
+  publish(session, nullptr, std::move(event), Clock::now());
 }
 
 const LatencyHistogram& TraceSession::layer_latency(Layer layer) const {
@@ -207,15 +230,7 @@ std::uint64_t TraceSession::layer_failures(Layer layer) const {
   return layer_failures_[std::min(index, kLayerCount - 1)].value();
 }
 
-std::uint64_t TraceSession::event_count() const {
-  std::uint64_t total = 0;
-  std::lock_guard<std::mutex> registry_lock(registry_mutex_);
-  for (const auto& buffer : buffers_) {
-    std::lock_guard<std::mutex> lock(buffer->mutex);
-    total += buffer->events.size();
-  }
-  return total;
-}
+// -- ObsSpan -----------------------------------------------------------
 
 ObsSpan::ObsSpan(Layer layer, std::string_view name,
                  std::string_view detail)
@@ -228,50 +243,33 @@ ObsSpan::ObsSpan(Layer layer, std::string_view name,
     name_ += " ";
     name_ += detail;
   }
-  begin_tp_ = std::chrono::steady_clock::now();
+  begin_tp_ = Clock::now();
   if (session_ != nullptr) {
-    begin_ns_ = session_->ns_since_epoch(begin_tp_);
     SpanEvent event;
     event.phase = EventPhase::kBegin;
     event.layer = layer_;
     event.name = name_;
-    event.ts_ns = begin_ns_;
-    session_->emit_span_event(std::move(event));
+    TraceSession::publish(session_, nullptr, std::move(event), begin_tp_);
   }
 }
 
 ObsSpan::~ObsSpan() {
   if (session_ == nullptr && recorder_ == nullptr) return;
-  const auto end_tp = std::chrono::steady_clock::now();
-  // Recorder first: it copies the strings the session event then moves.
-  if (recorder_ != nullptr) {
-    RecorderEvent event;
-    event.event.phase = EventPhase::kEnd;
-    event.event.layer = layer_;
-    event.event.name = name_;
-    event.event.ts_ns = recorder_->ns_since_install(end_tp);
-    event.event.failed = failed_;
-    event.event.detail = detail_;
-    event.dur_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end_tp -
-                                                             begin_tp_)
-            .count());
-    recorder_->record_event(std::move(event));
-  }
+  const auto end_tp = Clock::now();
+  SpanEvent event;
+  event.phase = EventPhase::kEnd;
+  event.layer = layer_;
+  event.name = std::move(name_);
+  event.failed = failed_;
+  event.detail = std::move(detail_);
+  event.dur_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end_tp -
+                                                           begin_tp_)
+          .count());
   if (session_ != nullptr) {
-    const std::uint64_t end_ns = session_->ns_since_epoch(end_tp);
-    SpanEvent event;
-    event.phase = EventPhase::kEnd;
-    event.layer = layer_;
-    event.name = std::move(name_);
-    event.ts_ns = end_ns;
-    event.failed = failed_;
-    event.detail = std::move(detail_);
-    session_->emit_span_event(std::move(event));
-    session_->record_span(
-        layer_, static_cast<double>(end_ns - begin_ns_) / kNanosPerSecond,
-        failed_);
+    session_->record_span(layer_, event.dur_ns, failed_);
   }
+  TraceSession::publish(session_, recorder_, std::move(event), end_tp);
 }
 
 void ObsSpan::fail(const ErrorInfo& error) {

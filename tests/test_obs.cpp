@@ -7,9 +7,12 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/platform.hpp"
@@ -342,10 +345,10 @@ TEST(FlightRecorderTest, RecordsSpanEndsAndInstantsWithDurations) {
   EXPECT_EQ(recorder.recorded_events(), 2u);
   const RecorderDump dump = recorder.dump();
   ASSERT_EQ(dump.events.size(), 2u);
-  EXPECT_EQ(dump.events[0].event.name, "crank-step");
-  EXPECT_EQ(dump.events[0].event.phase, EventPhase::kEnd);
-  EXPECT_EQ(dump.events[1].event.name, "cache-hit");
-  EXPECT_EQ(dump.events[1].event.phase, EventPhase::kInstant);
+  EXPECT_EQ(dump.events[0].name, "crank-step");
+  EXPECT_EQ(dump.events[0].phase, EventPhase::kEnd);
+  EXPECT_EQ(dump.events[1].name, "cache-hit");
+  EXPECT_EQ(dump.events[1].phase, EventPhase::kInstant);
   EXPECT_EQ(dump.events[1].dur_ns, 0u);
   EXPECT_EQ(dump.reason, "manual");
   const std::string json = dump.to_json();
@@ -368,10 +371,10 @@ TEST(FlightRecorderTest, RingOverwritesOldestWithExactAccounting) {
   const RecorderDump dump = recorder.dump();
   ASSERT_EQ(dump.events.size(), 8u);
   // The survivors are exactly the newest eight, still in time order.
-  EXPECT_EQ(dump.events.front().event.name, "tick-12");
-  EXPECT_EQ(dump.events.back().event.name, "tick-19");
+  EXPECT_EQ(dump.events.front().name, "tick-12");
+  EXPECT_EQ(dump.events.back().name, "tick-19");
   for (std::size_t i = 1; i < dump.events.size(); ++i) {
-    EXPECT_GE(dump.events[i].event.ts_ns, dump.events[i - 1].event.ts_ns);
+    EXPECT_GE(dump.events[i].ts_ns, dump.events[i - 1].ts_ns);
   }
 }
 
@@ -400,8 +403,8 @@ TEST(FlightRecorderTest, ScopedContextAttributesAndNests) {
   EXPECT_EQ(dump.events[3].tenant, "");
   // The tenant tail keeps only tenant-a's events.
   ASSERT_EQ(dump.tenant_tail.size(), 2u);
-  EXPECT_EQ(dump.tenant_tail[0].event.name, "outer-event");
-  EXPECT_EQ(dump.tenant_tail[1].event.name, "outer-again");
+  EXPECT_EQ(dump.tenant_tail[0].name, "outer-event");
+  EXPECT_EQ(dump.tenant_tail[1].name, "outer-again");
 }
 
 TEST(FlightRecorderTest, FirstTriggerLatchesAndAutoDumps) {
@@ -426,7 +429,7 @@ TEST(FlightRecorderTest, FirstTriggerLatchesAndAutoDumps) {
   EXPECT_EQ(first.reason, "overloaded");
   EXPECT_EQ(first.tenant, "clinic-x");
   EXPECT_FALSE(first.tenant_tail.empty());
-  for (const RecorderEvent& ev : first.tenant_tail) {
+  for (const SpanEvent& ev : first.tenant_tail) {
     EXPECT_EQ(ev.tenant, "clinic-x");
   }
   // And it was written to disk.
@@ -650,6 +653,78 @@ TEST(IntrospectionTest, RecorderStatsSurfaceWhenInstalled) {
   EXPECT_FALSE(warm.recorder_triggered);
 }
 
+// -- one sink, many windows ------------------------------------------
+
+// Cycles the trace session and the recorder on and off over the same
+// pool threads. Each window clears the previous window's buffers, so a
+// thread still writing through a pointer cached in an earlier window
+// would lose its events (or touch freed memory under ASan): every
+// window must hold exactly its own events, all of them.
+TEST(EventLogTest, WindowsNeverReuseStaleThreadBuffers) {
+  constexpr std::size_t kJobs = 32;
+  constexpr int kCycles = 6;
+  engine::Engine engine(engine::EngineOptions{.workers = 4});
+  TraceSession session;
+  FlightRecorder recorder;
+
+  const auto count = [](const std::vector<SpanEvent>& events,
+                        const std::string& name, EventPhase phase) {
+    std::size_t n = 0;
+    for (const SpanEvent& ev : events) {
+      if (ev.name == name && ev.phase == phase) ++n;
+    }
+    return n;
+  };
+  const auto cycle_names = [](const std::vector<SpanEvent>& events) {
+    std::set<std::string> names;
+    for (const SpanEvent& ev : events) {
+      if (ev.name.rfind("cycle-", 0) == 0) names.insert(ev.name);
+    }
+    return names;
+  };
+
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    // Trace only, recorder only, both — twice round.
+    const bool tracing = cycle % 3 != 1;
+    const bool recording = cycle % 3 != 0;
+    const std::string name = "cycle-" + std::to_string(cycle);
+    if (tracing) session.start();
+    if (recording) recorder.install();
+    std::vector<engine::JobSpec> jobs(kJobs);
+    for (engine::JobSpec& job : jobs) {
+      job.name = name;
+      job.body = [&name](engine::JobContext&) {
+        const ObsSpan span(Layer::kCore, name);
+        TraceSession::instant(Layer::kCore, name);
+        return true;
+      };
+    }
+    (void)engine.run(jobs);
+    recorder.uninstall();
+    session.stop();
+
+    if (tracing) {
+      std::vector<SpanEvent> all;
+      for (const ThreadTrack& track : session.tracks()) {
+        all.insert(all.end(), track.events.begin(), track.events.end());
+      }
+      EXPECT_EQ(count(all, name, EventPhase::kInstant), kJobs) << name;
+      EXPECT_EQ(count(all, name, EventPhase::kEnd), kJobs) << name;
+      EXPECT_EQ(cycle_names(all), std::set<std::string>{name});
+      EXPECT_EQ(session.dropped_events(), 0u);
+    }
+    if (recording) {
+      const RecorderDump dump = recorder.dump();
+      EXPECT_EQ(count(dump.events, name, EventPhase::kInstant), kJobs)
+          << name;
+      EXPECT_EQ(count(dump.events, name, EventPhase::kEnd), kJobs) << name;
+      EXPECT_EQ(cycle_names(dump.events), std::set<std::string>{name});
+      EXPECT_EQ(dump.overwritten, 0u);
+      EXPECT_EQ(dump.recorded, dump.events.size());
+    }
+  }
+}
+
 // -- non-perturbation: recorder edition -------------------------------
 
 TEST(FlightRecorderTest, RecorderDoesNotPerturbEngineResults) {
@@ -776,6 +851,59 @@ TEST_F(TracedBatch, TracingDoesNotPerturbResults) {
     EXPECT_EQ(fp, baseline) << "tracing perturbed results at " << workers
                             << " workers";
     EXPECT_GT(session.span_count(), 0u);
+  }
+}
+
+TEST_F(TracedBatch, BothSinksAtOnceStayConsistentAndInvisible) {
+  PanelBatchOptions options;
+  options.seed = 99;
+  constexpr std::size_t kWorkers = 4;
+
+  engine::Engine bare(engine::EngineOptions{.workers = kWorkers});
+  const std::string baseline =
+      fingerprint(platform_.run_panel_batch(samples_, bare, options).reports);
+
+  obs::TraceSession session;
+  obs::FlightRecorder recorder;
+  session.start();
+  recorder.install();
+  engine::Engine observed(engine::EngineOptions{.workers = kWorkers});
+  const std::string fp = fingerprint(
+      platform_.run_panel_batch(samples_, observed, options).reports);
+  recorder.uninstall();
+  session.stop();
+  EXPECT_EQ(fp, baseline) << "trace + recorder perturbed results";
+
+  // Every thread's trace track nests begin/end pairs by name.
+  using Key = std::tuple<obs::EventPhase, std::string, Layer, bool>;
+  std::map<Key, std::size_t> trace_events;
+  for (const obs::ThreadTrack& track : session.tracks()) {
+    std::vector<std::string> open;
+    for (const obs::SpanEvent& ev : track.events) {
+      if (ev.phase == obs::EventPhase::kBegin) open.push_back(ev.name);
+      if (ev.phase == obs::EventPhase::kEnd) {
+        ASSERT_FALSE(open.empty()) << "end without begin: " << ev.name;
+        EXPECT_EQ(open.back(), ev.name);
+        open.pop_back();
+      }
+      ++trace_events[Key{ev.phase, ev.name, ev.layer, ev.failed}];
+    }
+    EXPECT_TRUE(open.empty()) << "unbalanced track " << track.tid;
+  }
+
+  // The recorder saw the same window: each ring entry is a completed
+  // span (kEnd) or an instant the trace holds too.
+  const obs::RecorderDump dump = recorder.dump();
+  ASSERT_FALSE(dump.events.empty());
+  for (const obs::SpanEvent& ev : dump.events) {
+    EXPECT_TRUE(ev.phase == obs::EventPhase::kEnd ||
+                ev.phase == obs::EventPhase::kInstant)
+        << obs::to_string(ev.phase);
+    std::size_t& left = trace_events[Key{ev.phase, ev.name, ev.layer,
+                                         ev.failed}];
+    EXPECT_GT(left, 0u) << "ring entry missing from the trace: "
+                        << ev.name;
+    if (left > 0) --left;
   }
 }
 

@@ -10,8 +10,9 @@ word can no longer fool the lint.
 Checks (check-id -> invariant):
   throw-discipline        throw/try/catch confined to
                           src/common/{error,expected}.hpp
-  span-discipline         raw emit_span_event / EventPhase use confined
-                          to src/obs/
+  span-discipline         the raw event-sink primitives (emit_span_event,
+                          EventPhase) and health-reason minting
+                          (add_reason) confined to src/obs/
   span-temporary          every ObsSpan is a named local, never a
                           discarded temporary (which would destruct
                           immediately and record a zero-length span)
@@ -359,12 +360,18 @@ class ThrowDiscipline(Check):
 
 
 class SpanDiscipline(Check):
-    """Raw span-event machinery stays inside src/obs/: an unbalanced
-    begin/end pair emitted elsewhere corrupts every exported trace."""
+    """The event sink and health model observe without perturbing, and
+    that only holds while their raw machinery stays inside src/obs/: an
+    unbalanced begin/end pair emitted elsewhere corrupts every exported
+    trace, a forged event bypasses the ring accounting, and a fabricated
+    health reason bypasses the policy thresholds. Other layers open
+    spans through ObsSpan, attribute via FlightRecorder::ScopedContext,
+    signal via the trigger_* helpers and describe their state through
+    HealthInputs (docs/observability.md, docs/operations.md)."""
 
     check_id = "span-discipline"
     ALLOWED_DIRS = ("src/obs/",)
-    BANNED = ("emit_span_event", "EventPhase")
+    BANNED = ("emit_span_event", "EventPhase", "add_reason")
 
     def run(self, src: SourceFile) -> list:
         if in_dirs(src.effective_path, self.ALLOWED_DIRS):
@@ -374,8 +381,9 @@ class SpanDiscipline(Check):
             if tok.kind == IDENT and tok.text in self.BANNED:
                 out.append(Finding(
                     src.path, tok.line, self.check_id,
-                    f"raw span primitive '{tok.text}' outside src/obs/ — "
-                    "open spans through the obs::ObsSpan RAII type"))
+                    f"raw obs primitive '{tok.text}' outside src/obs/ — "
+                    "open spans through the obs::ObsSpan RAII type and "
+                    "report health through HealthInputs"))
         return out
 
 
@@ -744,39 +752,6 @@ class TransducerDiscipline(Check):
         return out
 
 
-class RecorderDiscipline(Check):
-    """The flight recorder and health model observe without perturbing,
-    and that only holds while raw emission stays inside src/obs/: other
-    layers attribute via FlightRecorder::ScopedContext, signal incidents
-    via the trigger_* helpers, and describe their state through
-    HealthInputs. Direct event construction (RecorderEvent,
-    record_event) or reason fabrication (add_reason) outside src/obs/
-    bypasses the ring accounting and the policy thresholds
-    (docs/operations.md)."""
-
-    check_id = "recorder-discipline"
-    SCOPE_DIRS = ("src/",)
-    ALLOWED_DIRS = ("src/obs/",)
-    BANNED = {"record_event", "RecorderEvent", "add_reason"}
-
-    def run(self, src: SourceFile) -> list:
-        if not in_dirs(src.effective_path, self.SCOPE_DIRS):
-            return []
-        if in_dirs(src.effective_path, self.ALLOWED_DIRS):
-            return []
-        out = []
-        for tok in src.tokens:
-            if tok.kind == IDENT and tok.text in self.BANNED:
-                out.append(Finding(
-                    src.path, tok.line, self.check_id,
-                    f"recorder/health primitive '{tok.text}' outside "
-                    "src/obs/ — attribute via "
-                    "FlightRecorder::ScopedContext, signal via "
-                    "trigger_overload / trigger_job_failure, and report "
-                    "state through HealthInputs (docs/operations.md)"))
-        return out
-
-
 class StaleSuppression:
     """every `biosens-lint: allow(...)` directive must suppress a finding
 
@@ -798,8 +773,7 @@ class StaleSuppression:
 ALL_CHECKS = [ThrowDiscipline(), SpanDiscipline(), SpanTemporary(),
               DeterminismDiscipline(), ExpectedDiscard(), NodiscardDecl(),
               HotPathDiscipline(), ServiceDiscipline(),
-              TransducerDiscipline(), RecorderDiscipline(),
-              StaleSuppression()]
+              TransducerDiscipline(), StaleSuppression()]
 CHECK_IDS = {c.check_id for c in ALL_CHECKS}
 
 

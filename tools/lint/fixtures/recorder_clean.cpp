@@ -1,5 +1,5 @@
 // biosens-lint-fixture: src/service/fixture_recorder_clean.cpp
-// Legal constructs the recorder-discipline check must stay silent on:
+// Legal constructs the span-discipline check must stay silent on:
 // the sanctioned attribution / trigger / stats surface, and
 // identifiers that merely contain a banned word.
 #include <cstdint>
@@ -47,9 +47,9 @@ obs::HealthInputs fixture_describe_state(bool draining) {
 
 // Identifiers that merely contain a banned word are distinct tokens.
 void fixture_containing_words() {
-  int record_events_total = 0;  // not record_event
-  int add_reasons = 0;          // not add_reason
-  (void)record_events_total;
+  int emit_span_events = 0;  // not emit_span_event
+  int add_reasons = 0;       // not add_reason
+  (void)emit_span_events;
   (void)add_reasons;
 }
 

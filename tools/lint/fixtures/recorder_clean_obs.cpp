@@ -3,12 +3,10 @@
 // accounting and the health policy live.
 namespace biosens::obs {
 
-struct RecorderEvent {
-  int payload = 0;
-};
+enum class EventPhase : unsigned char { kInstant };
 
 struct FakeRing {
-  void record_event(RecorderEvent&&) {}
+  void emit_span_event(EventPhase) {}
 };
 
 template <class Report>
@@ -17,7 +15,7 @@ void add_reason(Report& report, int severity) {
 }
 
 void fixture_home_layer(FakeRing& ring) {
-  ring.record_event(RecorderEvent{});
+  ring.emit_span_event(EventPhase::kInstant);
 }
 
 }  // namespace biosens::obs

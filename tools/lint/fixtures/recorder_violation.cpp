@@ -1,9 +1,9 @@
 // biosens-lint-fixture: src/engine/fixture_recorder_bypass.cpp
-// Seeded recorder-discipline violations: a layer outside src/obs/
-// fabricating recorder events and health reasons directly instead of
-// going through ScopedContext / trigger_* / HealthInputs.
+// Seeded span-discipline violations: a layer outside src/obs/ forging
+// flight-recorder events and health reasons directly instead of going
+// through ScopedContext / trigger_* / HealthInputs.
 namespace biosens::obs {
-struct RecorderEvent;  // SEED recorder-discipline
+enum class EventPhase : unsigned char;  // SEED span-discipline
 class FlightRecorder;
 struct HealthReport;
 }  // namespace biosens::obs
@@ -11,19 +11,19 @@ struct HealthReport;
 namespace biosens::engine {
 
 void fixture_forge_event(obs::FlightRecorder& recorder) {
-  obs::RecorderEvent* forged = nullptr;  // SEED recorder-discipline
+  obs::EventPhase* forged = nullptr;  // SEED span-discipline
   (void)forged;
   (void)recorder;
 }
 
-template <class Recorder, class Event>
-void fixture_raw_emission(Recorder& recorder, Event event) {
-  recorder.record_event(static_cast<Event&&>(event));  // SEED recorder-discipline
+template <class Recorder, class Event, class Clock>
+void fixture_raw_emission(Recorder& recorder, Event event, Clock at) {
+  recorder.emit_span_event(static_cast<Event&&>(event), at);  // SEED span-discipline
 }
 
 template <class Report>
 void fixture_forge_reason(Report& report) {
-  add_reason(report, 1, "queue-saturation", "forged");  // SEED recorder-discipline
+  add_reason(report, 1, "queue-saturation", "forged");  // SEED span-discipline
 }
 
 }  // namespace biosens::engine
