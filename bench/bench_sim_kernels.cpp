@@ -273,9 +273,10 @@ int main(int argc, char** argv) {
 
   // -- solver step rate --
   // The solver section runs the full step count even under
-  // BIOSENS_SMOKE: per-step cost falls as the depletion layer
-  // approaches steady state (fewer fixed-point iterations), so a
-  // shorter run would not be comparable to the committed baseline.
+  // BIOSENS_SMOKE: per-step cost shifts as the depletion layer
+  // approaches steady state (the surface-balance root needs a varying
+  // number of flux evaluations), so a shorter run would not be
+  // comparable to the committed baseline.
   const std::size_t nodes = 80;
   const std::size_t steps = 40000;
   const SolverRun solver = solver_bench(nodes, steps);

@@ -14,8 +14,10 @@
 #                         the obs event sink (per-thread buffers,
 #                         recorder rings)
 #   6. ubsan              UndefinedBehaviorSanitizer over error paths
+#                         and the diffusion kernels
 #   7. asan               AddressSanitizer+LeakSanitizer over the
 #                         allocation-bearing engine/cache/obs tests
+#                         and the diffusion kernels
 #   8. perf               solver step-rate smoke vs BENCH_sim.json,
 #                         service throughput vs BENCH_service.json and
 #                         FET-backend measurement rate vs the "fet"
@@ -154,9 +156,10 @@ run_ubsan() {
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DBIOSENS_SANITIZE=undefined
   cmake --build build-ubsan -j "${JOBS}" \
-    --target test_expected test_engine test_trace
+    --target test_expected test_engine test_trace test_diffusion \
+    test_diffusion_batch
   UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
-    ctest --test-dir build-ubsan -R 'expected|engine$|trace' \
+    ctest --test-dir build-ubsan -R 'expected|engine$|trace|diffusion' \
     --output-on-failure
 }
 
@@ -165,13 +168,16 @@ run_asan() {
   # The engine's worker pool, the sharded sim-cache LRU and the obs
   # per-thread buffers own the bulk of the dynamic allocations; ASan
   # with leak detection guards use-after-free and unreleased buffers.
+  # The diffusion kernels index one shared unit-flux response across
+  # interleaved batch lanes, so their bounds are checked here too.
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DBIOSENS_SANITIZE=address
   cmake --build build-asan -j "${JOBS}" \
-    --target test_engine test_sim_cache test_obs test_expected
+    --target test_engine test_sim_cache test_obs test_expected \
+    test_diffusion test_diffusion_batch
   ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
-    ctest --test-dir build-asan -R 'engine$|sim_cache|obs|expected' \
+    ctest --test-dir build-asan -R 'engine$|sim_cache|obs|expected|diffusion' \
     --output-on-failure
 }
 

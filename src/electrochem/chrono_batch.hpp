@@ -10,8 +10,8 @@
 // K right-hand sides per step, SIMD stripes.
 //
 // Identity contract: `traces[k]` is byte-identical to `sims[k].try_run()`
-// — same per-lane arithmetic, same fixed-point schedule, same error
-// surfaces. The prefill relies on this to keep batched engines
+// — same per-lane arithmetic, same single-solve surface-balance root,
+// same error surfaces. The prefill relies on this to keep batched engines
 // indistinguishable from serial ones (docs/determinism.md).
 #pragma once
 

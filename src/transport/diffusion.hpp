@@ -3,17 +3,20 @@
 // Models analyte transport from the bulk solution to the electrode plane
 // (x = 0) in a semi-infinite cell. The spatial discretization is a uniform
 // grid; time stepping is Crank-Nicolson (unconditionally stable, second
-// order) with the nonlinear surface-reaction flux resolved by fixed-point
-// iteration within each step.
+// order). The nonlinear surface-reaction flux is resolved exactly within
+// each step: the system is linear in the flux, so one solve of the
+// flux-free right-hand side plus the cached unit-flux response turns the
+// surface condition into a monotone scalar equation, solved to a few ulp
+// (transport/crank_nicolson.hpp).
 //
 // Hot-path design: the Crank-Nicolson matrix depends only on (D, dt, dx)
 // and the boundary mode, none of which change between steps of one run,
 // so its Thomas-algorithm forward elimination is factored once and reused
 // (invalidated automatically when dt, the boundary mode, or an affine
 // sink rate changes). The surface-flux callable of step_reactive_surface
-// is a template parameter, so the fixed-point inner loop inlines the
+// is a template parameter, so the scalar root finder inlines the
 // Michaelis-Menten evaluation instead of paying a std::function
-// indirection per iteration. No step allocates.
+// indirection per evaluation. No step allocates.
 //
 // Boundary conditions:
 //  - x = 0 (electrode): either a concentration clamp (diffusion-limited
@@ -25,16 +28,14 @@
 //    (recommended_domain_length).
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/annotations.hpp"
 #include "common/error.hpp"
-#include "common/math.hpp"
 #include "common/units.hpp"
+#include "transport/crank_nicolson.hpp"
 
 namespace biosens::transport {
 
@@ -63,30 +64,18 @@ class DiffusionField {
 
   /// Advances one step with a reactive surface sink. `flux_of_surface`
   /// maps the surface concentration [mM == mol/m^3] to the consumed molar
-  /// flux [mol m^-2 s^-1] (typically Gamma * k_cat * c/(K_M + c)).
-  /// Returns the converged consumption flux for this step. The callable
-  /// is evaluated once per fixed-point iteration, inlined.
+  /// flux [mol m^-2 s^-1] (typically Gamma * k_cat * c/(K_M + c)) and
+  /// must be non-negative and non-decreasing. Returns the consumption
+  /// flux J that solves the post-step surface balance
+  /// J = flux_of_surface(c0') to a few ulp. One linear solve per step;
+  /// the callable is inlined into the scalar root finder.
   template <typename FluxFn>
   BIOSENS_HOT double step_reactive_surface(Time dt, FluxFn&& flux_of_surface) {
     require<NumericsError>(dt.seconds() > 0.0, "time step must be positive");
-    prepare_flux_step(dt);
-
-    double flux = flux_of_surface(pre_step_c0_);
-    constexpr int kMaxIterations = 12;
-    constexpr double kRelTol = 1e-8;
-
-    for (int iter = 0; iter < kMaxIterations; ++iter) {
-      advance_prepared_flux(dt, flux);
-      const double updated = flux_of_surface(c_[0]);
-      const double scale =
-          std::max({std::abs(flux), std::abs(updated), 1e-30});
-      if (std::abs(updated - flux) <= kRelTol * scale) {
-        return updated;
-      }
-      // Damped update keeps the iteration contractive even when the
-      // Michaelis-Menten flux is steep near full depletion.
-      flux = 0.5 * (flux + updated);
-    }
+    solve_flux_free_step(dt);
+    const double flux = detail::solve_surface_balance(
+        flux_of_surface, c_[0], cn_.flux_response()[0]);
+    apply_surface_flux(flux);
     return flux;
   }
 
@@ -112,32 +101,25 @@ class DiffusionField {
 
   [[nodiscard]] const DiffusionGrid& grid() const { return grid_; }
   [[nodiscard]] Concentration bulk() const { return bulk_; }
-  [[nodiscard]] double node_spacing_m() const { return dx_; }
+  [[nodiscard]] double node_spacing_m() const { return cn_.dx(); }
 
   /// Matrix factorizations performed so far — observability for the
   /// factorization cache (one per (dt, boundary mode, sink) change, not
   /// one per step).
   [[nodiscard]] std::uint64_t factorizations() const {
-    return factorizations_;
+    return cn_.factorizations();
   }
 
  private:
-  /// The electrode-boundary treatments, each with its own matrix row 0.
-  enum class Boundary { kNone, kClamped, kFlux, kAffine };
+  /// Interior + bulk right-hand-side rows from the current profile.
+  void assemble_interior_rhs(double lambda);
 
-  /// Ensures the cached factorization matches (boundary, dt, sink);
-  /// reassembles and refactors only when the key changed.
-  void ensure_factorization(Boundary boundary, double dt_s, double sink);
+  /// Ensures the kFlux factorization and solves the step with zero
+  /// surface flux, leaving the unclamped c_base in c_.
+  void solve_flux_free_step(Time dt);
 
-  /// Snapshots the pre-step profile into the Crank-Nicolson right-hand
-  /// side (interior + bulk rows, and the flux-independent part of row 0)
-  /// and ensures the kFlux factorization. Called once per reactive step;
-  /// the fixed-point iterations then only rewrite rhs element 0.
-  void prepare_flux_step(Time dt);
-
-  /// One linear solve of the prepared system at a fixed surface flux;
-  /// writes the post-step (clamped non-negative) profile into c_.
-  void advance_prepared_flux(Time dt, double surface_flux);
+  /// c = max(c_base + flux * g, 0): the post-step profile at `flux`.
+  BIOSENS_HOT void apply_surface_flux(double flux);
 
   /// Second-order one-sided estimate of -D * dc/dx at x = 0 (mol/m^2/s,
   /// positive when material flows into the electrode plane).
@@ -146,23 +128,9 @@ class DiffusionField {
   Diffusivity d_;
   DiffusionGrid grid_;
   Concentration bulk_;
-  double dx_ = 0.0;
-  std::vector<double> c_;  ///< concentration profile in mM
-  // Scratch buffers reused across steps to avoid reallocation.
-  std::vector<double> lower_, diag_, upper_, rhs_;
-  // Cached forward elimination of the Crank-Nicolson matrix, keyed on
-  // the boundary mode, dt and (affine only) the sink rate. D and dx are
-  // fixed per field, so steps with an unchanged key skip both matrix
-  // assembly and elimination.
-  TridiagonalFactorization factorization_;
-  Boundary cached_boundary_ = Boundary::kNone;
-  double cached_dt_s_ = -1.0;
-  double cached_sink_ = 0.0;
-  std::uint64_t factorizations_ = 0;
-  // Flux-independent piece of rhs[0] for the current reactive step, and
-  // the pre-step surface concentration the first flux guess reads.
-  double rhs0_base_ = 0.0;
-  double pre_step_c0_ = 0.0;
+  detail::CrankNicolsonOperator cn_;
+  std::vector<double> c_;    ///< concentration profile in mM
+  std::vector<double> rhs_;  ///< right-hand side scratch, reused per step
 };
 
 }  // namespace biosens::transport

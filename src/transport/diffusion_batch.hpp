@@ -12,25 +12,22 @@
 //
 // Identity contract: each lane's profile and flux history is
 // bit-identical to an independent DiffusionField stepped through the
-// same schedule. The per-lane arithmetic is the exact serial sequence;
-// the reactive fixed-point loop freezes a lane's advance flux the
-// moment that lane converges, so re-solving a frozen lane (the linear
-// solve reads only the pre-step right-hand side) is idempotent and a
-// lane that converges early is unaffected by slower lanes in the same
-// batch. tests/test_diffusion_batch.cpp pins this for K in {1,3,8,17}
-// across mixed boundary schedules.
+// same schedule. The per-lane arithmetic is the exact serial sequence:
+// one flux-free solve (solve_many matches solve bit for bit), the same
+// scalar surface-balance root on the lane's own c0_base with the shared
+// unit-flux response g, and the same c_base + J*g pass.
+// tests/test_diffusion_batch.cpp pins this for K in {1,3,8,17} across
+// mixed boundary schedules, with and without steep kinetics.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/annotations.hpp"
 #include "common/error.hpp"
-#include "common/math.hpp"
 #include "common/units.hpp"
+#include "transport/crank_nicolson.hpp"
 #include "transport/diffusion.hpp"
 
 namespace biosens::transport {
@@ -55,48 +52,22 @@ class DiffusionFieldBatch {
 
   /// Lockstep counterpart of DiffusionField::step_reactive_surface.
   /// `flux_of_surface(lane, c0_mm)` maps a lane's surface concentration
-  /// to its consumed molar flux; it is evaluated once per lane per
-  /// fixed-point iteration, inlined. Converged per-lane fluxes land in
-  /// `flux_out` (size lanes()). Per lane the iteration count, damping,
-  /// and convergence test replicate the serial stepper exactly.
+  /// to its consumed molar flux (non-negative, non-decreasing in c0_mm),
+  /// inlined into the per-lane scalar root. Each lane's surface-balance
+  /// flux lands in `flux_out` (size lanes()). One batched solve per step.
   template <typename FluxFn>
   BIOSENS_HOT void step_reactive_surface(Time dt, FluxFn&& flux_of_surface,
                                          std::span<double> flux_out) {
     require<NumericsError>(dt.seconds() > 0.0, "time step must be positive");
     require<NumericsError>(flux_out.size() == lanes_,
                            "flux_out size mismatch");
-    prepare_flux_step(dt);
-
+    solve_flux_free_step(dt);
+    const double g0 = cn_.flux_response()[0];
     for (std::size_t k = 0; k < lanes_; ++k) {
-      advance_flux_[k] = flux_of_surface(k, pre_step_c0_[k]);
-      converged_[k] = 0;
+      flux_out[k] = detail::solve_surface_balance(
+          [&](double c0) { return flux_of_surface(k, c0); }, c_[k], g0);
     }
-    constexpr int kMaxIterations = 12;
-    constexpr double kRelTol = 1e-8;
-
-    std::size_t active = lanes_;
-    for (int iter = 0; iter < kMaxIterations && active > 0; ++iter) {
-      // Every lane advances — a frozen lane re-solves with its frozen
-      // flux, which rewrites the same post-step profile (the solve
-      // reads only the pre-step rhs), so early convergence is exact.
-      advance_prepared_flux(dt, advance_flux_);
-      for (std::size_t k = 0; k < lanes_; ++k) {
-        if (converged_[k] != 0) continue;
-        const double flux = advance_flux_[k];
-        const double updated = flux_of_surface(k, c_[k]);
-        const double scale =
-            std::max({std::abs(flux), std::abs(updated), 1e-30});
-        if (std::abs(updated - flux) <= kRelTol * scale) {
-          flux_out[k] = updated;
-          converged_[k] = 1;
-          --active;
-          continue;
-        }
-        // Damped update — identical to the serial stepper.
-        advance_flux_[k] = 0.5 * (flux + updated);
-        if (iter + 1 == kMaxIterations) flux_out[k] = advance_flux_[k];
-      }
-    }
+    apply_surface_flux(flux_out);
   }
 
   /// Lockstep counterpart of DiffusionField::step_affine_surface:
@@ -121,33 +92,26 @@ class DiffusionFieldBatch {
 
   [[nodiscard]] const DiffusionGrid& grid() const { return grid_; }
   [[nodiscard]] Concentration bulk(std::size_t lane) const;
-  [[nodiscard]] double node_spacing_m() const { return dx_; }
+  [[nodiscard]] double node_spacing_m() const { return cn_.dx(); }
 
   /// Shared-matrix factorizations performed so far: one per
   /// (dt, boundary mode, sink) change for the WHOLE batch — the serial
   /// path pays K of them for the same schedule. Mirrored into engine
   /// metrics by the cohort prefill (engine/cohort.hpp).
   [[nodiscard]] std::uint64_t factorizations() const {
-    return factorizations_;
+    return cn_.factorizations();
   }
 
  private:
-  enum class Boundary { kNone, kClamped, kFlux, kAffine };
+  /// Ensures the kFlux factorization and solves every lane's step with
+  /// zero surface flux, leaving the unclamped c_base block in c_.
+  void solve_flux_free_step(Time dt);
 
-  /// Shared-matrix twin of DiffusionField::ensure_factorization.
-  void ensure_factorization(Boundary boundary, double dt_s, double sink);
-
-  /// Snapshots every lane's pre-step profile into the Crank-Nicolson
-  /// right-hand side block and ensures the kFlux factorization.
-  void prepare_flux_step(Time dt);
-
-  /// One batched linear solve at fixed per-lane surface fluxes; writes
-  /// the post-step (clamped non-negative) profiles into c_.
-  BIOSENS_HOT void advance_prepared_flux(Time dt,
-                                         std::span<const double> fluxes);
+  /// c = max(c_base + flux_k * g, 0) per lane, g shared by all lanes.
+  BIOSENS_HOT void apply_surface_flux(std::span<const double> fluxes);
 
   /// Interior + bulk right-hand-side rows from the current profiles
-  /// (shared by the clamped and affine steps).
+  /// (shared by every step kind).
   void assemble_interior_rhs(double lambda);
 
   [[nodiscard]] double surface_gradient_flux(std::size_t lane) const;
@@ -155,21 +119,10 @@ class DiffusionFieldBatch {
   Diffusivity d_;
   DiffusionGrid grid_;
   std::size_t lanes_ = 0;
-  double dx_ = 0.0;
+  detail::CrankNicolsonOperator cn_;
   std::vector<double> bulk_mm_;  ///< per-lane bulk concentration [mM]
   std::vector<double> c_;        ///< SoA profiles, node-major interleaved
-  // Scratch reused across steps — no hot-path allocation.
-  std::vector<double> lower_, diag_, upper_;
-  std::vector<double> rhs_;            ///< SoA right-hand side block
-  std::vector<double> rhs0_base_;      ///< flux-independent rhs row 0
-  std::vector<double> pre_step_c0_;    ///< pre-step surface concentrations
-  std::vector<double> advance_flux_;   ///< per-lane fixed-point flux
-  std::vector<std::uint8_t> converged_;
-  TridiagonalFactorization factorization_;
-  Boundary cached_boundary_ = Boundary::kNone;
-  double cached_dt_s_ = -1.0;
-  double cached_sink_ = 0.0;
-  std::uint64_t factorizations_ = 0;
+  std::vector<double> rhs_;      ///< SoA right-hand side block, reused
 };
 
 }  // namespace biosens::transport

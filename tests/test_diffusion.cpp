@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "transport/analytic.hpp"
@@ -83,6 +84,51 @@ TEST(Diffusion, ReactiveSurfaceMatchesAnalyticBalance) {
       (-b + std::sqrt(b * b + 4.0 * m * m * 1.0 * km)) / (2.0 * m);
   const double expected = a_flux * c0 / (km + c0);
   EXPECT_NEAR(flux, expected, 0.01 * expected);
+}
+
+TEST(Diffusion, SteepKineticsSatisfiesSurfaceBalanceEveryStep) {
+  // A sink far faster than mass transport (vmax/K_M ~ 100x D/delta):
+  // the surface depletes to near zero, where the Michaelis-Menten slope
+  // is steepest. Every step's flux must solve the post-step surface
+  // balance J = F(c0') to round-off, and the run must still reach the
+  // analytic stirred-cell balance.
+  const Diffusivity d = Diffusivity::m2_per_s(kD);
+  const double delta = 25e-6;
+  const double a_flux = 1e-3;  // mol m^-2 s^-1 max
+  const double km = 0.1;       // mM
+  DiffusionField field(d, DiffusionGrid{delta, 100},
+                       Concentration::milli_molar(1.0));
+  const auto sink = [&](double c0) { return a_flux * c0 / (km + c0); };
+
+  double flux = 0.0;
+  for (int k = 0; k < 4000; ++k) {
+    flux = field.step_reactive_surface(Time::milliseconds(5.0), sink);
+    const double c0 = field.surface_concentration().milli_molar();
+    ASSERT_GT(flux, 0.0) << "step " << k;
+    ASSERT_LE(std::abs(flux - sink(c0)), 1e-12 * flux) << "step " << k;
+  }
+
+  const double m = kD / delta;
+  const double b = a_flux + m * km - m * 1.0;
+  const double c0 =
+      (-b + std::sqrt(b * b + 4.0 * m * m * 1.0 * km)) / (2.0 * m);
+  const double expected = a_flux * c0 / (km + c0);
+  EXPECT_NEAR(flux, expected, 0.01 * expected);
+}
+
+TEST(Diffusion, InvalidSurfaceFluxFailsLoudly) {
+  DiffusionField field(Diffusivity::m2_per_s(kD), DiffusionGrid{25e-6, 50},
+                       Concentration::milli_molar(1.0));
+  const auto not_finite = [](double c0) {
+    return c0 > 0.0 ? std::numeric_limits<double>::quiet_NaN() : 0.0;
+  };
+  const auto negative = [](double c0) { return -1e-6 * c0; };
+  EXPECT_THROW(
+      (void)field.step_reactive_surface(Time::milliseconds(5.0), not_finite),
+      NumericsError);
+  EXPECT_THROW(
+      (void)field.step_reactive_surface(Time::milliseconds(5.0), negative),
+      NumericsError);
 }
 
 TEST(Diffusion, ZeroBulkGivesZeroFlux) {

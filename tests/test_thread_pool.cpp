@@ -94,13 +94,19 @@ TEST(ThreadPool, ShutdownNowReportsDiscardedTasksDeterministically) {
   std::promise<void> gate;
   std::shared_future<void> release = gate.get_future().share();
 
+  std::promise<void> started;
+  std::future<void> running = started.get_future();
+
   ThreadPool pool(1, kQueued + 1);
-  // The single worker blocks inside the first task, so the next kQueued
+  // The single worker blocks inside the first task. Waiting until it has
+  // started means the worker has popped it, so the next kQueued
   // submissions are provably still queued when shutdown_now() clears.
-  pool.submit([&completed, release] {
+  pool.submit([&completed, &started, release] {
+    started.set_value();
     release.wait();
     completed.fetch_add(1, std::memory_order_relaxed);
   });
+  running.wait();
   for (std::size_t i = 0; i < kQueued; ++i) {
     pool.submit([&completed] {
       completed.fetch_add(1, std::memory_order_relaxed);
