@@ -10,10 +10,11 @@
 #include "bench_util.hpp"
 
 #include <cmath>
+#include <span>
 
 #include "electrochem/chronoamperometry.hpp"
 #include "transport/analytic.hpp"
-#include "transport/diffusion.hpp"
+#include "transport/diffusion_batch.hpp"
 
 namespace {
 
@@ -74,18 +75,20 @@ void print_figure() {
 
   // Diffusion-limited validation: simulated flux vs the Cottrell law.
   std::printf("\nCottrell validation (diffusion-limited step, quiescent):\n");
-  transport::DiffusionField field(
+  const Concentration bulk = Concentration::milli_molar(1.0);
+  transport::DiffusionFieldBatch field(
       Diffusivity::cm2_per_s(6.7e-6),
       transport::DiffusionGrid{
           transport::recommended_domain_length_m(
               Diffusivity::cm2_per_s(6.7e-6), Time::seconds(10.0)),
           400},
-      Concentration::milli_molar(1.0));
+      std::span(&bulk, 1));
   double t = 0.0;
+  double flux = 0.0;
   std::printf("  t[s]    simulated [A/m2]   Cottrell [A/m2]   error\n");
   for (int k = 0; k < 2000; ++k) {
-    const double flux =
-        field.step_clamped_surface(Time::milliseconds(5.0), Concentration{});
+    field.step_clamped_surface(Time::milliseconds(5.0), Concentration{},
+                               std::span(&flux, 1));
     t += 5e-3;
     for (double mark : {1.0, 2.0, 5.0, 10.0}) {
       if (std::abs(t - mark) < 2.6e-3) {

@@ -4,14 +4,19 @@
 // Section 1 — solver step rate. The Crank-Nicolson matrix of one
 // chronoamperometric run depends only on (D, dt, dx), so its Thomas
 // forward elimination is factored once and reused across every step
-// (transport/diffusion.hpp). The "before" configuration reproduces the
+// (transport/diffusion_batch.hpp, stepped here as one lane — the shape
+// of every single run). The "before" configuration reproduces the
 // pre-optimization cost: a refactorization on every step (forced by
 // alternating the time step between two bit-adjacent values) plus a
 // std::function-wrapped surface-flux callable — the per-step heap/
 // indirection the templated step_reactive_surface removed. Both
 // configurations integrate the same physics.
 //
-// Section 2 — cohort wall time, cold vs warm. A patient cohort is
+// Section 2 — lockstep batching. K per-patient runs stepped as K
+// one-lane batches against one K-lane batch. The K = 1 row compares a
+// one-lane batch with itself, so it reads ~1.0x by construction.
+//
+// Section 3 — cohort wall time, cold vs warm. A patient cohort is
 // assayed twice on one engine with the simulation cache enabled
 // (EngineOptions::sim_cache_capacity): the cold pass computes and
 // memoizes every deterministic pre-noise simulation, the warm pass
@@ -37,7 +42,6 @@
 #include "core/platform.hpp"
 #include "core/workloads.hpp"
 #include "engine/engine.hpp"
-#include "transport/diffusion.hpp"
 #include "transport/diffusion_batch.hpp"
 
 namespace {
@@ -54,11 +58,13 @@ struct SolverRun {
   std::uint64_t factorizations_after = 0;
 };
 
-transport::DiffusionField make_field(std::size_t nodes) {
-  return transport::DiffusionField(
+/// One run's field: a one-lane batch at 1 mM.
+transport::DiffusionFieldBatch make_field(std::size_t nodes) {
+  const Concentration bulk = Concentration::milli_molar(1.0);
+  return transport::DiffusionFieldBatch(
       Diffusivity::cm2_per_s(6.7e-6),
       transport::DiffusionGrid{.length_m = 200e-6, .nodes = nodes},
-      Concentration::milli_molar(1.0));
+      std::span(&bulk, 1));
 }
 
 /// Michaelis-Menten surface sink of a glucose-oxidase-like layer.
@@ -80,25 +86,31 @@ SolverRun solver_bench(std::size_t nodes, std::size_t steps) {
   double after_s = 1e18;
   for (int rep = 0; rep < 3; ++rep) {
     {  // BEFORE: refactor each step + std::function indirection.
-      transport::DiffusionField field = make_field(nodes);
-      const std::function<double(double)> flux = mm_flux;
+      transport::DiffusionFieldBatch field = make_field(nodes);
+      const std::function<double(std::size_t, double)> flux =
+          [](std::size_t, double c0) { return mm_flux(c0); };
       const engine::Stopwatch watch;
       double sink = 0.0;
+      double j = 0.0;
       for (std::size_t i = 0; i < steps; ++i) {
-        sink += field.step_reactive_surface((i % 2 == 0) ? dt : dt_alt,
-                                            flux);
+        field.step_reactive_surface((i % 2 == 0) ? dt : dt_alt, flux,
+                                    std::span(&j, 1));
+        sink += j;
       }
       benchmark::DoNotOptimize(sink);
       before_s = std::min(before_s, watch.elapsed_seconds());
       run.factorizations_before = field.factorizations();
     }
     {  // AFTER: cached factorization + inlined flux callable.
-      transport::DiffusionField field = make_field(nodes);
+      transport::DiffusionFieldBatch field = make_field(nodes);
       const engine::Stopwatch watch;
       double sink = 0.0;
+      double j = 0.0;
       for (std::size_t i = 0; i < steps; ++i) {
-        sink += field.step_reactive_surface(
-            dt, [](double c0) { return mm_flux(c0); });
+        field.step_reactive_surface(
+            dt, [](std::size_t, double c0) { return mm_flux(c0); },
+            std::span(&j, 1));
+        sink += j;
       }
       benchmark::DoNotOptimize(sink);
       after_s = std::min(after_s, watch.elapsed_seconds());
@@ -115,18 +127,18 @@ SolverRun solver_bench(std::size_t nodes, std::size_t steps) {
 
 struct BatchedRun {
   std::size_t lanes = 0;
-  double serial_steps_per_sec = 0.0;   ///< aggregate lane-steps/s, K fields
+  double serial_steps_per_sec = 0.0;   ///< aggregate lane-steps/s, K runs
   double batched_steps_per_sec = 0.0;  ///< aggregate lane-steps/s, one batch
   double speedup = 0.0;
-  std::uint64_t serial_factorizations = 0;  ///< summed over the K fields
+  std::uint64_t serial_factorizations = 0;  ///< summed over the K runs
   std::uint64_t batched_factorizations = 0;
   bool bit_identical = true;
 };
 
-/// K per-patient reactive sweeps: the current per-field path (cached
-/// factorization, inlined flux) against one DiffusionFieldBatch
-/// stepping the same K lanes in lockstep. Both integrate the same
-/// randomized per-lane bulks; final profiles must agree bit-for-bit.
+/// K per-patient reactive sweeps: K one-lane batches stepped one after
+/// another (the per-job path) against one K-lane batch stepping the
+/// same K lanes in lockstep. Both integrate the same randomized
+/// per-lane bulks; final profiles must agree bit-for-bit.
 BatchedRun batched_bench(std::size_t lanes, std::size_t nodes,
                          std::size_t steps) {
   const Time dt = Time::milliseconds(25.0);
@@ -145,18 +157,21 @@ BatchedRun batched_bench(std::size_t lanes, std::size_t nodes,
   double batched_s = 1e18;
   std::vector<std::vector<double>> serial_profiles(lanes);
   for (int rep = 0; rep < 3; ++rep) {
-    {  // per-patient: K independent fields, stepped one at a time
-      std::vector<transport::DiffusionField> fields;
+    {  // per-patient: K one-lane batches, stepped one at a time
+      std::vector<transport::DiffusionFieldBatch> fields;
       fields.reserve(lanes);
       for (std::size_t k = 0; k < lanes; ++k) {
-        fields.emplace_back(d, grid, bulks[k]);
+        fields.emplace_back(d, grid, std::span(&bulks[k], 1));
       }
       const engine::Stopwatch watch;
       double sink = 0.0;
+      double j = 0.0;
       for (std::size_t i = 0; i < steps; ++i) {
         for (std::size_t k = 0; k < lanes; ++k) {
-          sink += fields[k].step_reactive_surface(
-              dt, [](double c0) { return mm_flux(c0); });
+          fields[k].step_reactive_surface(
+              dt, [](std::size_t, double c0) { return mm_flux(c0); },
+              std::span(&j, 1));
+          sink += j;
         }
       }
       benchmark::DoNotOptimize(sink);
@@ -164,9 +179,7 @@ BatchedRun batched_bench(std::size_t lanes, std::size_t nodes,
       run.serial_factorizations = 0;
       for (std::size_t k = 0; k < lanes; ++k) {
         run.serial_factorizations += fields[k].factorizations();
-        const std::span<const double> profile =
-            fields[k].profile_milli_molar();
-        serial_profiles[k].assign(profile.begin(), profile.end());
+        serial_profiles[k] = fields[k].profile_milli_molar(0);
       }
     }
     {  // batched: the same K lanes through one SoA lockstep stepper
@@ -303,7 +316,7 @@ int main(int argc, char** argv) {
   std::vector<BatchedRun> batched;
   bool batched_identical = true;
   std::printf(
-      "\nbatched SoA lockstep vs per-patient fields, %zu nodes, %zu "
+      "\nbatched SoA lockstep vs per-patient one-lane runs, %zu nodes, %zu "
       "steps (best of 3, aggregate lane-steps/s):\n",
       nodes, steps);
   for (const std::size_t lanes : lane_counts) {
@@ -319,7 +332,7 @@ int main(int argc, char** argv) {
       batched_identical = false;
       std::fprintf(stderr,
                    "BYTE-IDENTITY VIOLATION: batched profiles diverge "
-                   "from per-patient fields at K=%zu\n",
+                   "from per-patient runs at K=%zu\n",
                    run.lanes);
     }
     batched.push_back(run);
@@ -467,11 +480,14 @@ int main(int argc, char** argv) {
 
   benchmark::RegisterBenchmark(
       "BM_ReactiveStepCachedFactorization", [](benchmark::State& state) {
-        transport::DiffusionField field = make_field(80);
+        transport::DiffusionFieldBatch field = make_field(80);
         const Time dt = Time::milliseconds(25.0);
+        double j = 0.0;
         for (auto _ : state) {
-          benchmark::DoNotOptimize(field.step_reactive_surface(
-              dt, [](double c0) { return mm_flux(c0); }));
+          field.step_reactive_surface(
+              dt, [](std::size_t, double c0) { return mm_flux(c0); },
+              std::span(&j, 1));
+          benchmark::DoNotOptimize(j);
         }
       });
   benchmark::RegisterBenchmark(

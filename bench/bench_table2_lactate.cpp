@@ -6,7 +6,9 @@
 // two orders of magnitude less sensitive.
 #include "bench_util.hpp"
 
-#include "transport/diffusion.hpp"
+#include <span>
+
+#include "transport/diffusion_batch.hpp"
 
 namespace {
 
@@ -27,14 +29,19 @@ void BM_LactateCalibration(benchmark::State& state) {
 BENCHMARK(BM_LactateCalibration)->Unit(benchmark::kMillisecond);
 
 void BM_DiffusionSolverStep(benchmark::State& state) {
-  transport::DiffusionField field(
+  const Concentration bulk = Concentration::milli_molar(1.0);
+  transport::DiffusionFieldBatch field(
       Diffusivity::cm2_per_s(1e-5),
       transport::DiffusionGrid{25e-6, static_cast<std::size_t>(state.range(0))},
-      Concentration::milli_molar(1.0));
-  const auto sink = [](double c0) { return 1e-6 * c0 / (0.7 + c0); };
+      std::span(&bulk, 1));
+  const auto sink = [](std::size_t, double c0) {
+    return 1e-6 * c0 / (0.7 + c0);
+  };
+  double flux = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        field.step_reactive_surface(Time::milliseconds(25.0), sink));
+    field.step_reactive_surface(Time::milliseconds(25.0), sink,
+                                std::span(&flux, 1));
+    benchmark::DoNotOptimize(flux);
   }
 }
 BENCHMARK(BM_DiffusionSolverStep)->Arg(40)->Arg(80)->Arg(160);

@@ -157,9 +157,10 @@ run_ubsan() {
     -DBIOSENS_SANITIZE=undefined
   cmake --build build-ubsan -j "${JOBS}" \
     --target test_expected test_engine test_trace test_diffusion \
-    test_diffusion_batch
+    test_diffusion_batch test_chronoamperometry test_peroxide
   UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
-    ctest --test-dir build-ubsan -R 'expected|engine$|trace|diffusion' \
+    ctest --test-dir build-ubsan \
+    -R 'expected|engine$|trace|diffusion|chronoamperometry|peroxide' \
     --output-on-failure
 }
 
@@ -168,16 +169,18 @@ run_asan() {
   # The engine's worker pool, the sharded sim-cache LRU and the obs
   # per-thread buffers own the bulk of the dynamic allocations; ASan
   # with leak detection guards use-after-free and unreleased buffers.
-  # The diffusion kernels index one shared unit-flux response across
-  # interleaved batch lanes, so their bounds are checked here too.
+  # The diffusion kernel indexes one shared unit-flux response across
+  # interleaved batch lanes, so its bounds are checked here too, on the
+  # chronoamperometry and peroxide runs that step it as well.
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DBIOSENS_SANITIZE=address
   cmake --build build-asan -j "${JOBS}" \
     --target test_engine test_sim_cache test_obs test_expected \
-    test_diffusion test_diffusion_batch
+    test_diffusion test_diffusion_batch test_chronoamperometry test_peroxide
   ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
-    ctest --test-dir build-asan -R 'engine$|sim_cache|obs|expected|diffusion' \
+    ctest --test-dir build-asan \
+    -R 'engine$|sim_cache|obs|expected|diffusion|chronoamperometry|peroxide' \
     --output-on-failure
 }
 

@@ -108,10 +108,15 @@ class TridiagonalFactorization {
   /// set of one forward+backward sweep stays L2-resident
   /// (stripe_lanes()). `x` and `rhs` must each have size() * lanes
   /// elements; they may alias only as the *same* buffer. Each lane's
-  /// result is bit-identical to a per-lane solve() of the same rhs.
+  /// result is bit-identical to a per-lane solve() of the same rhs, and
+  /// one lane simply runs solve().
   BIOSENS_HOT void solve_many(std::span<const double> rhs,
                               std::span<double> x,
                               std::size_t lanes) const {
+    if (lanes == 1) {
+      solve(rhs, x);
+      return;
+    }
 #if BIOSENS_BATCH_WIDE
     solve_many_wide(rhs, x, lanes);
 #else

@@ -147,6 +147,8 @@ PanelBatchResult Platform::run_panel_batch(
   PanelBatchResult result;
   result.reports.resize(samples.size());
   const Time panel_time = scheduled_panel_time();
+  // The engine's trace window covers the cohort prefill too.
+  const engine::TraceScope tracing(engine.trace());
 
   // The engine's simulation cache (null when disabled) is shared across
   // every job of the batch; it only short-circuits deterministic
@@ -159,13 +161,16 @@ PanelBatchResult Platform::run_panel_batch(
   // the cache, so the per-job path below hits instead of re-solving.
   // When the engine has no cache, a batch-local one (invisible to
   // engine metrics' cache counters) carries the prefilled traces to the
-  // jobs. Prefill is best-effort and byte-invisible either way.
+  // jobs. It holds every (sample, sensor) result of the batch in one
+  // shard, so no prefilled trace is evicted before its job reads it.
+  // Prefill is best-effort and byte-invisible either way.
   std::unique_ptr<engine::SimCache> batch_cache;
   if (engine.cohort_batching() && !samples.empty() && !sensors_.empty()) {
     if (cache == nullptr) {
       engine::SimCacheOptions cache_options;
       cache_options.capacity =
           std::max<std::size_t>(samples.size() * sensors_.size(), 1);
+      cache_options.shards = 1;
       batch_cache = std::make_unique<engine::SimCache>(cache_options);
       cache = batch_cache.get();
     }
@@ -207,9 +212,6 @@ PanelBatchResult Platform::run_panel_batch(
   batch.seed = options.seed;
   batch.retry = options.retry;
   {
-    // Engine::run may start the engine's own trace session, so this
-    // span only appears when the caller holds a session open across the
-    // batch (it would otherwise begin before the session exists).
     const obs::ObsSpan span(Layer::kCore, "run-panel-batch");
     result.jobs = engine.run(jobs, batch);
   }
@@ -227,6 +229,8 @@ Expected<void> Platform::try_calibrate_all_batch(
     const ProtocolOptions& options) {
   calibrations_.assign(sensors_.size(), analysis::CalibrationResult{});
   const CalibrationProtocol protocol(options);
+  // The engine's trace window covers the cohort prefill too.
+  const engine::TraceScope tracing(engine.trace());
 
   // Cohort batching for calibration: each sensor's protocol measures a
   // fixed roster of deterministic samples (the blank plus one per
@@ -256,8 +260,10 @@ Expected<void> Platform::try_calibrate_all_batch(
 
     cache = engine.sim_cache();
     if (cache == nullptr) {
+      // One shard sized to every roster: nothing prefilled is evicted.
       engine::SimCacheOptions cache_options;
       cache_options.capacity = std::max<std::size_t>(distinct, 1);
+      cache_options.shards = 1;
       batch_cache = std::make_unique<engine::SimCache>(cache_options);
       cache = batch_cache.get();
     }

@@ -9,14 +9,15 @@
 #include "common/constants.hpp"
 #include "common/error.hpp"
 #include "obs/span.hpp"
-#include "transport/diffusion.hpp"
 #include "transport/diffusion_batch.hpp"
 
 namespace biosens::electrochem {
 namespace {
 
-/// The domain length try_run() would pick for this simulation — the
-/// transport-topology half of the lockstep compatibility key.
+/// Domain depth of one simulation: in a stirred cell the Nernst layer
+/// *is* the domain (bulk clamped at its outer edge); quiescent cells get
+/// a domain that comfortably contains the final depletion layer. Also
+/// the transport-topology half of the lockstep compatibility key.
 double chrono_domain_length_m(const ChronoamperometrySim& sim) {
   const bool stirred = sim.cell().hydrodynamics().stirred;
   return stirred ? sim.cell().layer_thickness_m(sim.options().duration)
@@ -57,11 +58,11 @@ BIOSENS_HOT Expected<ChronoBatchResult> try_run_chrono_batch(
   }
 
   const std::size_t lanes = sims.size();
-  obs::ObsSpan span(Layer::kElectrochem, "chrono-batch-sweep");
+  obs::ObsSpan span(Layer::kElectrochem, "chrono-sweep");
 
-  // Per-lane physics, gathered exactly as try_run() does per sim: the
-  // same fallible calls in the same order, so a failing lane surfaces
-  // the identical structured error the serial path would.
+  // Per-lane physics: the fallible calls in a fixed order per lane, so
+  // a failing lane surfaces the same structured error whether it runs
+  // alone (try_run) or inside a cohort.
   std::vector<chem::MichaelisMenten> kinetics;
   kinetics.reserve(lanes);
   std::vector<double> gamma(lanes), n_f(lanes), area(lanes);
@@ -109,9 +110,9 @@ BIOSENS_HOT Expected<ChronoBatchResult> try_run_chrono_batch(
   grid.length_m = chrono_domain_length_m(sims[0]);
 
   // Pre-validate the DiffusionFieldBatch constructor contract so this
-  // function reports failure through Expected instead of throwing on
-  // the caller's thread (the serial per-job path raises the same
-  // violations inside the engine's exception adapter).
+  // function reports failure through Expected instead of throwing (the
+  // cohort prefill runs on the caller's thread, outside the engine's
+  // exception adapter).
   if (!(sims[0].cell().layer().substrate_diffusivity.m2_per_s() > 0.0) ||
       !(grid.length_m > 0.0) || grid.nodes < 3) {
     return ctx("chronoamperometry",
@@ -139,7 +140,8 @@ BIOSENS_HOT Expected<ChronoBatchResult> try_run_chrono_batch(
   }
   std::vector<double> flux(lanes, 0.0);
 
-  // One span around the whole lockstep loop, like the serial path.
+  // One span around the whole stepping loop, never per step: the solver
+  // inner loop is the perf-gated hot path (bench_sim_kernels).
   const obs::ObsSpan stepping(Layer::kTransport, "cn-stepping");
   double t = 0.0;
   for (std::size_t s = 0; s < steps; ++s) {

@@ -1,13 +1,12 @@
 #include "electrochem/chronoamperometry.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <span>
+#include <utility>
 
 #include "common/annotations.hpp"
-#include "common/constants.hpp"
 #include "common/error.hpp"
-#include "obs/span.hpp"
-#include "transport/diffusion.hpp"
+#include "electrochem/chrono_batch.hpp"
 
 namespace biosens::electrochem {
 
@@ -32,77 +31,9 @@ TimeSeries ChronoamperometrySim::run() const {
 }
 
 BIOSENS_HOT Expected<TimeSeries> ChronoamperometrySim::try_run() const {
-  obs::ObsSpan span(Layer::kElectrochem, "chrono-sweep");
-  const electrode::EffectiveLayer& layer = cell_.layer();
-  auto kinetics_result = span.watch(layer.try_kinetics());
-  if (!kinetics_result) {
-    return ctx("chronoamperometry",
-               Expected<TimeSeries>(kinetics_result.error()));
-  }
-  const chem::MichaelisMenten& kinetics = *kinetics_result;
-  const double gamma = layer.wired_coverage.mol_per_m2();
-  const double n_f =
-      layer.electrons * constants::kFaraday;
-
-  // Domain: in a stirred cell the Nernst layer *is* the domain (bulk
-  // clamped at its outer edge); quiescent cells get a domain that
-  // comfortably contains the final depletion layer.
-  const bool stirred = cell_.hydrodynamics().stirred;
-  transport::DiffusionGrid grid;
-  grid.nodes = options_.grid_nodes;
-  grid.length_m =
-      stirred ? cell_.layer_thickness_m(options_.duration)
-              : transport::recommended_domain_length_m(
-                    layer.substrate_diffusivity, options_.duration);
-
-  transport::DiffusionField field(layer.substrate_diffusivity, grid,
-                                  cell_.substrate_bulk());
-
-  auto activity_result = span.watch(cell_.try_environment_factor());
-  if (!activity_result) {
-    return ctx("chronoamperometry",
-               Expected<TimeSeries>(activity_result.error()));
-  }
-  const double activity = *activity_result;
-  const auto surface_flux = [&](double surface_mm) {
-    return activity *
-           kinetics.areal_flux(
-               SurfaceCoverage::mol_per_m2(gamma),
-               Concentration::milli_molar(std::max(surface_mm, 0.0)));
-  };
-
-  const Potential step_height = waveform_.step() - waveform_.rest();
-  Current interferents;
-  if (options_.include_interferents) {
-    auto i = span.watch(cell_.try_interferent_current(waveform_.step()));
-    if (!i) return ctx("chronoamperometry", Expected<TimeSeries>(i.error()));
-    interferents = *i;
-  }
-
-  TimeSeries trace;
-  const auto steps = static_cast<std::size_t>(
-      options_.duration.seconds() / options_.dt.seconds());
-  trace.time_s.reserve(steps);
-  trace.current_a.reserve(steps);
-
-  // One span around the whole stepping loop, never per step: the solver
-  // inner loop is the perf-gated hot path (bench_sim_kernels).
-  const obs::ObsSpan stepping(Layer::kTransport, "cn-stepping");
-  double t = 0.0;
-  for (std::size_t k = 0; k < steps; ++k) {
-    const double flux = field.step_reactive_surface(options_.dt, surface_flux);
-    t += options_.dt.seconds();
-
-    double current =
-        n_f * flux * layer.geometric_area.square_meters() +
-        interferents.amps();
-    if (options_.include_capacitive) {
-      current += cell_.capacitive_step_current(step_height, Time::seconds(t))
-                     .amps();
-    }
-    trace.push(t, current);
-  }
-  return trace;
+  auto batch = try_run_chrono_batch(std::span(this, 1));
+  if (!batch) return batch.error();
+  return std::move((*batch).traces.front());
 }
 
 Current ChronoamperometrySim::steady_state() const {

@@ -7,10 +7,11 @@
 // transient of the step edge, and the direct oxidation of interferents.
 //
 // The substrate field is solved with the Crank-Nicolson scheme of
-// transport::DiffusionField; in a stirred cell the domain is exactly the
-// Nernst layer with the bulk clamped at its outer edge, so the long-time
-// current converges to the Koutecky-Levich combination of the kinetic and
-// transport-limited currents.
+// transport::DiffusionFieldBatch; in a stirred cell the domain is exactly
+// the Nernst layer with the bulk clamped at its outer edge, so the
+// long-time current converges to the Koutecky-Levich combination of the
+// kinetic and transport-limited currents. A run is the one-lane case of
+// the lockstep sweep in electrochem/chrono_batch.hpp.
 #pragma once
 
 #include "electrochem/cell.hpp"

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "chem/species.hpp"
 #include "common/constants.hpp"
 #include "common/error.hpp"
-#include "transport/diffusion.hpp"
+#include "transport/diffusion_batch.hpp"
 
 namespace biosens::electrochem {
 
@@ -60,14 +61,17 @@ TimeSeries PeroxideChronoSim::run() const {
   const double k_e = electrode_rate_m_per_s();
   const double delta = cell_.layer_thickness_m(options_.duration);
 
-  transport::DiffusionGrid grid{delta, options_.grid_nodes};
-  transport::DiffusionField substrate(layer.substrate_diffusivity, grid,
-                                      cell_.substrate_bulk());
-  transport::DiffusionField peroxide(
+  // One lane per species; each batch holds a single field.
+  const transport::DiffusionGrid grid{delta, options_.grid_nodes};
+  const Concentration substrate_bulk = cell_.substrate_bulk();
+  const Concentration peroxide_bulk = Concentration::milli_molar(0.0);
+  transport::DiffusionFieldBatch substrate(layer.substrate_diffusivity, grid,
+                                           std::span(&substrate_bulk, 1));
+  transport::DiffusionFieldBatch peroxide(
       chem::species_or_throw("hydrogen peroxide").diffusivity, grid,
-      Concentration::milli_molar(0.0));
+      std::span(&peroxide_bulk, 1));
 
-  const auto enzymatic_flux = [&](double s0) {
+  const auto enzymatic_flux = [&](std::size_t, double s0) {
     return activity *
            kinetics.areal_flux(
                SurfaceCoverage::mol_per_m2(gamma),
@@ -77,18 +81,21 @@ TimeSeries PeroxideChronoSim::run() const {
   TimeSeries trace;
   const auto steps = static_cast<std::size_t>(
       options_.duration.seconds() / options_.dt.seconds());
+  double j_enzyme = 0.0;
+  double j_electrode = 0.0;
   double t = 0.0;
   for (std::size_t k = 0; k < steps; ++k) {
-    const double j_enzyme =
-        substrate.step_reactive_surface(options_.dt, enzymatic_flux);
+    substrate.step_reactive_surface(options_.dt, enzymatic_flux,
+                                    std::span(&j_enzyme, 1));
     // Peroxide surface balance: produced at j_enzyme, consumed by the
     // electrode at k_e * [P]_0. The affine sink is solved implicitly so
     // even catalytic (stiff) electrodes stay stable.
-    peroxide.step_affine_surface(options_.dt, k_e, j_enzyme);
+    peroxide.step_affine_surface(options_.dt, k_e,
+                                 std::span<const double>(&j_enzyme, 1),
+                                 std::span(&j_electrode, 1));
     t += options_.dt.seconds();
 
-    const double p0 =
-        peroxide.surface_concentration().milli_molar();
+    const double p0 = peroxide.surface_concentration(0).milli_molar();
     // 2 electrons per H2O2 oxidized at the electrode.
     trace.push(t, 2.0 * constants::kFaraday * k_e * p0 *
                       layer.geometric_area.square_meters());

@@ -152,7 +152,7 @@ engine::CohortPrefillStats AmperometricTransducer::prefill_cohort(
   // Prefill runs on the caller's thread, outside the engine's exception
   // adapter, so everything constructed below must be known not to
   // throw. Mirror the Cell / ChronoamperometrySim constructor
-  // preconditions and bail to the serial path on a violation — the jobs
+  // preconditions and bail to the per-job path on a violation — the jobs
   // surface the identical structured error with full context.
   ChronoOptions chrono = options_.chrono;
   chrono.duration = spec_.ca_hold;
@@ -187,7 +187,7 @@ engine::CohortPrefillStats AmperometricTransducer::prefill_cohort(
   if (sims.empty()) return stats;
 
   // Best-effort: on any lane's structured error, seed nothing — the
-  // per-job serial path reproduces the identical error byte-for-byte.
+  // per-job path reproduces the identical error byte-for-byte.
   auto batch = try_run_chrono_batch(sims);
   if (!batch) return stats;
   ChronoBatchResult result = std::move(batch).value();

@@ -35,7 +35,7 @@ struct CohortPrefillStats {
   /// Distinct simulations advanced inside those groups.
   std::uint64_t lanes = 0;
   /// Shared-matrix factorizations paid across all groups (1 per group
-  /// for a fixed-dt protocol; the serial path pays one per lane).
+  /// for a fixed-dt protocol; each per-job run pays one).
   std::uint64_t factorizations = 0;
 
   CohortPrefillStats& operator+=(const CohortPrefillStats& other) {

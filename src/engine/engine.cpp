@@ -4,29 +4,14 @@
 #include "obs/span.hpp"
 
 namespace biosens::engine {
-namespace {
+TraceScope::TraceScope(obs::TraceSession* session)
+    : session_(session != nullptr && !session->active() ? session : nullptr) {
+  if (session_ != nullptr) session_->start();
+}
 
-/// Starts the engine's trace session for one batch and stops it after,
-/// leaving the events in place for export. A session the caller already
-/// started is left alone (the caller owns its window).
-class TraceScope {
- public:
-  explicit TraceScope(obs::TraceSession* session)
-      : session_(session != nullptr && !session->active() ? session
-                                                          : nullptr) {
-    if (session_ != nullptr) session_->start();
-  }
-  ~TraceScope() {
-    if (session_ != nullptr) session_->stop();
-  }
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
-
- private:
-  obs::TraceSession* session_;
-};
-
-}  // namespace
+TraceScope::~TraceScope() {
+  if (session_ != nullptr) session_->stop();
+}
 
 Engine::Engine(EngineOptions options)
     : options_(options),

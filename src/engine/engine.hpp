@@ -59,6 +59,20 @@ struct EngineOptions {
   std::size_t sampler_window = 64;
 };
 
+/// Starts a trace session for one batch and stops it after, leaving the
+/// events in place for export. A null session, or one the caller already
+/// started, is left alone (the caller owns its window).
+class TraceScope {
+ public:
+  explicit TraceScope(obs::TraceSession* session);
+  ~TraceScope();
+  TraceScope(const TraceScope&) = delete;
+  TraceScope& operator=(const TraceScope&) = delete;
+
+ private:
+  obs::TraceSession* session_;
+};
+
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});
@@ -81,6 +95,11 @@ class Engine {
   [[nodiscard]] const SimCache* sim_cache() const {
     return sim_cache_.get();
   }
+
+  /// The session each run() traces into (EngineOptions::trace); null
+  /// when tracing is off. Cohort entry points hold a TraceScope on it
+  /// across their prefill and run(), so the prefill lands in the trace.
+  [[nodiscard]] obs::TraceSession* trace() const { return options_.trace; }
 
   /// Whether cohort entry points may prefill via the batched stepper.
   [[nodiscard]] bool cohort_batching() const {

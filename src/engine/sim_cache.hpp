@@ -98,9 +98,12 @@ struct CacheKeyHasher {
 };
 
 struct SimCacheOptions {
-  /// Total cached entries across all shards (>= 1).
+  /// Cached entries (>= 1), split evenly over the shards: each shard
+  /// holds at most ceil(capacity / shards) and evicts past that, so an
+  /// uneven key spread evicts before the total is reached. A cache that
+  /// must keep every entry of a known roster needs `shards = 1`.
   std::size_t capacity = 4096;
-  /// Independent mutex-striped LRU segments (rounded up to >= 1).
+  /// Independent mutex-striped LRU segments (clamped to [1, capacity]).
   std::size_t shards = 16;
 };
 

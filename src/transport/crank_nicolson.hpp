@@ -1,8 +1,7 @@
-// Crank-Nicolson machinery shared by the serial (DiffusionField) and
-// batched (DiffusionFieldBatch) diffusion kernels: the matrix rows for
-// each electrode-boundary treatment, the factorization cache, and the
-// scalar surface balance that resolves a nonlinear reactive sink with a
-// single linear solve per step.
+// Crank-Nicolson machinery of the diffusion kernel (DiffusionFieldBatch):
+// the matrix rows for each electrode-boundary treatment, the
+// factorization cache, and the scalar surface balance that resolves a
+// nonlinear reactive sink with a single linear solve per step.
 //
 // The reactive step. With a surface flux J the Crank-Nicolson system is
 // linear in J, which enters only through rhs[0] (-2 dt/dx * J). So the

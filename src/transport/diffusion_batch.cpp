@@ -1,6 +1,7 @@
 #include "transport/diffusion_batch.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/annotations.hpp"
 #include "common/error.hpp"
@@ -8,6 +9,12 @@
 namespace biosens::transport {
 
 using detail::Boundary;
+
+double recommended_domain_length_m(Diffusivity d, Time duration) {
+  require<NumericsError>(duration.seconds() > 0.0,
+                         "duration must be positive");
+  return 6.0 * std::sqrt(d.m2_per_s() * duration.seconds());
+}
 
 DiffusionFieldBatch::DiffusionFieldBatch(Diffusivity d, DiffusionGrid grid,
                                          std::span<const Concentration> bulks)
@@ -64,8 +71,9 @@ Concentration DiffusionFieldBatch::bulk(std::size_t lane) const {
 }
 
 double DiffusionFieldBatch::surface_gradient_flux(std::size_t lane) const {
-  // Identical second-order one-sided difference to the serial field,
-  // read from the interleaved layout.
+  // Second-order one-sided difference for dc/dx at x = 0, read from the
+  // interleaved layout; inbound flux is +D * dc/dx (material moves
+  // toward the depleted electrode plane).
   const double dcdx = (-3.0 * c_[lane] + 4.0 * c_[lanes_ + lane] -
                        c_[2 * lanes_ + lane]) /
                       (2.0 * cn_.dx());
@@ -75,15 +83,11 @@ double DiffusionFieldBatch::surface_gradient_flux(std::size_t lane) const {
 void DiffusionFieldBatch::assemble_interior_rhs(double lambda) {
   const std::size_t n = grid_.nodes;
   const double half = 0.5 * lambda;
-  for (std::size_t i = 1; i + 1 < n; ++i) {
-    const double* cm = c_.data() + (i - 1) * lanes_;
-    const double* ci = c_.data() + i * lanes_;
-    const double* cp = c_.data() + (i + 1) * lanes_;
-    double* ri = rhs_.data() + i * lanes_;
-    for (std::size_t k = 0; k < lanes_; ++k) {
-      // Same expression shape as the serial stepper — bit-identity.
-      ri[k] = half * cm[k] + (1.0 - lambda) * ci[k] + half * cp[k];
-    }
+  // Node i of lane k sits at i*K + k, so its neighbours are j -+ K: one
+  // flat pass over the interior rows of every lane.
+  for (std::size_t j = lanes_; j < (n - 1) * lanes_; ++j) {
+    rhs_[j] = half * c_[j - lanes_] + (1.0 - lambda) * c_[j] +
+              half * c_[j + lanes_];
   }
   double* rl = rhs_.data() + (n - 1) * lanes_;
   for (std::size_t k = 0; k < lanes_; ++k) rl[k] = bulk_mm_[k];
@@ -103,12 +107,19 @@ void DiffusionFieldBatch::solve_flux_free_step(Time dt) {
 BIOSENS_HOT void DiffusionFieldBatch::apply_surface_flux(
     std::span<const double> fluxes) {
   const std::span<const double> g = cn_.flux_response();
+  // The clamp also absorbs round-off negatives near a hard sink.
+  if (lanes_ == 1) {
+    const double flux = fluxes[0];
+    for (std::size_t i = 0; i < c_.size(); ++i) {
+      c_[i] = std::max(c_[i] + flux * g[i], 0.0);
+    }
+    return;
+  }
   const std::size_t n = grid_.nodes;
   for (std::size_t i = 0; i < n; ++i) {
     const double gi = g[i];
     double* ci = c_.data() + i * lanes_;
     for (std::size_t k = 0; k < lanes_; ++k) {
-      // Same expression as the serial pass — bit-identity.
       ci[k] = std::max(ci[k] + fluxes[k] * gi, 0.0);
     }
   }
@@ -145,8 +156,9 @@ BIOSENS_HOT void DiffusionFieldBatch::step_affine_surface(
   const double sink = 2.0 * rate_m_per_s * dt_s / cn_.dx();
   cn_.ensure(Boundary::kAffine, dt_s, sink);
 
-  // Row 0 per lane: half-cell balance with the affine flux implicit,
-  // exactly as in DiffusionField::step_affine_surface.
+  // Row 0 per lane: half-cell balance with the affine flux implicit:
+  // c0'(1 + lambda + sink) - lambda c1' =
+  //   c0 (1 - lambda) + lambda c1 + 2 dt/dx * production.
   for (std::size_t k = 0; k < lanes_; ++k) {
     rhs_[k] = c_[k] * (1.0 - lambda) + lambda * c_[lanes_ + k] +
               2.0 * production_flux[k] * dt_s / cn_.dx();

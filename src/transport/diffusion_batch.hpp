@@ -1,23 +1,39 @@
-// Batched structure-of-arrays diffusion solver: K same-topology fields
-// stepped in lockstep.
+// One-dimensional finite-difference diffusion solver: K same-topology
+// fields of one species stepped in lockstep (K >= 1; a single run is the
+// one-lane case).
 //
-// A cohort workload presents the same sensor physics over and over:
-// every patient's chronoamperometric run solves the same Crank-Nicolson
-// matrix — only the concentration state differs. DiffusionFieldBatch
-// holds K fields whose (D, grid, dt, boundary mode) agree as one
-// interleaved SoA block (node-major: node i of lane k at `i*K + k`),
-// factors the shared matrix ONCE, and advances every lane per step
-// through TridiagonalFactorization::solve_many — cache-blocked stripes,
-// SIMD-friendly inner loops (docs/performance.md, "Cohort batching").
+// Models analyte transport from the bulk solution to the electrode plane
+// (x = 0). The grid is uniform; time stepping is Crank-Nicolson
+// (unconditionally stable, second order). The nonlinear surface-reaction
+// flux is resolved exactly within each step: the system is linear in the
+// flux, so one solve of the flux-free right-hand side plus the cached
+// unit-flux response turns the surface condition into a monotone scalar
+// equation per lane, solved to a few ulp (transport/crank_nicolson.hpp).
+//
+// Every lane shares (D, grid, dt, boundary mode), so the Crank-Nicolson
+// matrix is factored once for the whole batch and reused while its key
+// holds. The lanes live in one interleaved structure-of-arrays block
+// (node-major: node i of lane k at `i*K + k`), and each step advances
+// them all through TridiagonalFactorization::solve_many: cache-blocked,
+// SIMD-friendly stripes for K > 1, the plain solve() for K = 1
+// (docs/performance.md). The surface-flux callable is a template
+// parameter, inlined into the per-lane scalar root. No step allocates.
 //
 // Identity contract: each lane's profile and flux history is
-// bit-identical to an independent DiffusionField stepped through the
-// same schedule. The per-lane arithmetic is the exact serial sequence:
-// one flux-free solve (solve_many matches solve bit for bit), the same
-// scalar surface-balance root on the lane's own c0_base with the shared
-// unit-flux response g, and the same c_base + J*g pass.
+// bit-identical to a one-lane batch stepped through the same schedule —
+// the per-lane arithmetic is the same sequence at any K.
 // tests/test_diffusion_batch.cpp pins this for K in {1,3,8,17} across
 // mixed boundary schedules, with and without steep kinetics.
+//
+// Boundary conditions:
+//  - x = 0 (electrode): a concentration clamp (diffusion-limited
+//    electrolysis; validated against the Cottrell equation), a reactive
+//    sink whose molar flux depends on the surface concentration (the
+//    immobilized-enzyme layer), or an affine sink folded implicitly into
+//    the matrix (the H2O2 intermediate).
+//  - x = L (bulk): Dirichlet at each lane's bulk concentration. Choose L
+//    large enough that the depletion layer never reaches it
+//    (recommended_domain_length_m).
 #pragma once
 
 #include <cstdint>
@@ -28,9 +44,19 @@
 #include "common/error.hpp"
 #include "common/units.hpp"
 #include "transport/crank_nicolson.hpp"
-#include "transport/diffusion.hpp"
 
 namespace biosens::transport {
+
+/// Spatial discretization of the diffusion domain.
+struct DiffusionGrid {
+  double length_m = 500e-6;  ///< domain depth; must exceed the depletion layer
+  std::size_t nodes = 200;   ///< >= 3 grid nodes including both boundaries
+};
+
+/// Domain depth that safely contains the depletion layer after `duration`:
+/// 6 * sqrt(D * t).
+[[nodiscard]] double recommended_domain_length_m(Diffusivity d,
+                                                 Time duration);
 
 /// K evolving 1-D concentration fields of one species, lockstepped.
 class DiffusionFieldBatch {
@@ -43,18 +69,22 @@ class DiffusionFieldBatch {
 
   [[nodiscard]] std::size_t lanes() const { return lanes_; }
 
-  /// Lockstep counterpart of DiffusionField::step_clamped_surface: one
-  /// step with every lane's surface clamped to `surface`. Writes each
-  /// lane's inbound molar flux [mol m^-2 s^-1] into `flux_out`
-  /// (size lanes()).
+  /// Advances one step with every lane's surface clamped to `surface`
+  /// (e.g. zero for diffusion-limited electrolysis). Writes each lane's
+  /// inbound molar flux [mol m^-2 s^-1] into `flux_out` (size lanes()),
+  /// evaluated from the post-step profile with a second-order one-sided
+  /// difference.
   void step_clamped_surface(Time dt, Concentration surface,
                             std::span<double> flux_out);
 
-  /// Lockstep counterpart of DiffusionField::step_reactive_surface.
+  /// Advances one step with a reactive surface sink.
   /// `flux_of_surface(lane, c0_mm)` maps a lane's surface concentration
-  /// to its consumed molar flux (non-negative, non-decreasing in c0_mm),
-  /// inlined into the per-lane scalar root. Each lane's surface-balance
-  /// flux lands in `flux_out` (size lanes()). One batched solve per step.
+  /// [mM == mol/m^3] to its consumed molar flux [mol m^-2 s^-1]
+  /// (typically Gamma * k_cat * c/(K_M + c); non-negative and
+  /// non-decreasing in c0_mm), inlined into the per-lane scalar root.
+  /// Each lane's flux J solving the post-step surface balance
+  /// J = flux_of_surface(lane, c0') to a few ulp lands in `flux_out`
+  /// (size lanes()). One batched solve per step.
   template <typename FluxFn>
   BIOSENS_HOT void step_reactive_surface(Time dt, FluxFn&& flux_of_surface,
                                          std::span<double> flux_out) {
@@ -70,11 +100,13 @@ class DiffusionFieldBatch {
     apply_surface_flux(flux_out);
   }
 
-  /// Lockstep counterpart of DiffusionField::step_affine_surface:
-  /// J_k = rate * c0_k - production_k, with the (shared) rate folded
-  /// implicitly into the matrix and the per-lane production term on the
-  /// right-hand side. Writes each lane's consumption flux to
-  /// `flux_out` (both spans size lanes()).
+  /// Advances one step with an affine surface sink
+  /// J_k = rate * c0_k - production_k (heterogeneous first-order
+  /// consumption plus a fixed production term). The shared rate is
+  /// folded implicitly into the matrix, so arbitrarily stiff rate
+  /// constants remain stable; the per-lane production term sits on the
+  /// right-hand side. Writes each lane's consumption flux to `flux_out`
+  /// (both spans size lanes()).
   void step_affine_surface(Time dt, double rate_m_per_s,
                            std::span<const double> production_flux,
                            std::span<double> flux_out);
@@ -95,9 +127,9 @@ class DiffusionFieldBatch {
   [[nodiscard]] double node_spacing_m() const { return cn_.dx(); }
 
   /// Shared-matrix factorizations performed so far: one per
-  /// (dt, boundary mode, sink) change for the WHOLE batch — the serial
-  /// path pays K of them for the same schedule. Mirrored into engine
-  /// metrics by the cohort prefill (engine/cohort.hpp).
+  /// (dt, boundary mode, sink) change for the WHOLE batch, not one per
+  /// step or per lane. Mirrored into engine metrics by the cohort
+  /// prefill (engine/cohort.hpp).
   [[nodiscard]] std::uint64_t factorizations() const {
     return cn_.factorizations();
   }

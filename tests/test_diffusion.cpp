@@ -1,17 +1,41 @@
-// Crank-Nicolson diffusion solver validated against analytic transport.
+// Crank-Nicolson diffusion solver validated against analytic transport,
+// on one-lane batches (the single-field case of the kernel).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "common/error.hpp"
 #include "transport/analytic.hpp"
-#include "transport/diffusion.hpp"
+#include "transport/diffusion_batch.hpp"
 
 namespace biosens::transport {
 namespace {
 
 constexpr double kD = 1e-9;  // m^2/s, small-molecule scale
+
+/// One field: a batch of one lane at `bulk`.
+DiffusionFieldBatch one_field(Diffusivity d, DiffusionGrid grid,
+                              Concentration bulk) {
+  return DiffusionFieldBatch(d, grid, std::span(&bulk, 1));
+}
+
+double step_clamped(DiffusionFieldBatch& field, Time dt,
+                    Concentration surface) {
+  double flux = 0.0;
+  field.step_clamped_surface(dt, surface, std::span(&flux, 1));
+  return flux;
+}
+
+template <typename FluxFn>
+double step_reactive(DiffusionFieldBatch& field, Time dt, FluxFn&& sink) {
+  double flux = 0.0;
+  field.step_reactive_surface(
+      dt, [&](std::size_t, double c0) { return sink(c0); },
+      std::span(&flux, 1));
+  return flux;
+}
 
 TEST(Diffusion, CottrellAgreement) {
   // Diffusion-limited electrolysis: simulated flux vs Cottrell equation.
@@ -20,12 +44,12 @@ TEST(Diffusion, CottrellAgreement) {
   DiffusionGrid grid;
   grid.length_m = recommended_domain_length_m(d, Time::seconds(10.0));
   grid.nodes = 400;
-  DiffusionField field(d, grid, bulk);
+  DiffusionFieldBatch field = one_field(d, grid, bulk);
 
   const Time dt = Time::milliseconds(5.0);
   double t = 0.0;
   for (int k = 0; k < 2000; ++k) {
-    const double flux = field.step_clamped_surface(dt, Concentration{});
+    const double flux = step_clamped(field, dt, Concentration{});
     t += dt.seconds();
     if (t > 1.0) {
       const double analytic =
@@ -45,12 +69,11 @@ TEST(Diffusion, SteadyStateAcrossNernstLayer) {
   const Concentration bulk = Concentration::milli_molar(2.0);
   const double delta = 25e-6;
   DiffusionGrid grid{delta, 100};
-  DiffusionField field(d, grid, bulk);
+  DiffusionFieldBatch field = one_field(d, grid, bulk);
 
   double flux = 0.0;
   for (int k = 0; k < 4000; ++k) {
-    flux = field.step_clamped_surface(Time::milliseconds(5.0),
-                                      Concentration{});
+    flux = step_clamped(field, Time::milliseconds(5.0), Concentration{});
   }
   const double expected = kD * 2.0 / delta;
   EXPECT_NEAR(flux, expected, 0.01 * expected);
@@ -66,12 +89,12 @@ TEST(Diffusion, ReactiveSurfaceMatchesAnalyticBalance) {
   const double km = 2.0;        // mM
 
   DiffusionGrid grid{delta, 100};
-  DiffusionField field(d, grid, bulk);
+  DiffusionFieldBatch field = one_field(d, grid, bulk);
   const auto sink = [&](double c0) { return a_flux * c0 / (km + c0); };
 
   double flux = 0.0;
   for (int k = 0; k < 4000; ++k) {
-    flux = field.step_reactive_surface(Time::milliseconds(5.0), sink);
+    flux = step_reactive(field, Time::milliseconds(5.0), sink);
   }
 
   // Analytic balance via direct solve of the quadratic.
@@ -96,14 +119,14 @@ TEST(Diffusion, SteepKineticsSatisfiesSurfaceBalanceEveryStep) {
   const double delta = 25e-6;
   const double a_flux = 1e-3;  // mol m^-2 s^-1 max
   const double km = 0.1;       // mM
-  DiffusionField field(d, DiffusionGrid{delta, 100},
-                       Concentration::milli_molar(1.0));
+  DiffusionFieldBatch field = one_field(d, DiffusionGrid{delta, 100},
+                                        Concentration::milli_molar(1.0));
   const auto sink = [&](double c0) { return a_flux * c0 / (km + c0); };
 
   double flux = 0.0;
   for (int k = 0; k < 4000; ++k) {
-    flux = field.step_reactive_surface(Time::milliseconds(5.0), sink);
-    const double c0 = field.surface_concentration().milli_molar();
+    flux = step_reactive(field, Time::milliseconds(5.0), sink);
+    const double c0 = field.surface_concentration(0).milli_molar();
     ASSERT_GT(flux, 0.0) << "step " << k;
     ASSERT_LE(std::abs(flux - sink(c0)), 1e-12 * flux) << "step " << k;
   }
@@ -117,59 +140,60 @@ TEST(Diffusion, SteepKineticsSatisfiesSurfaceBalanceEveryStep) {
 }
 
 TEST(Diffusion, InvalidSurfaceFluxFailsLoudly) {
-  DiffusionField field(Diffusivity::m2_per_s(kD), DiffusionGrid{25e-6, 50},
-                       Concentration::milli_molar(1.0));
+  DiffusionFieldBatch field =
+      one_field(Diffusivity::m2_per_s(kD), DiffusionGrid{25e-6, 50},
+                Concentration::milli_molar(1.0));
   const auto not_finite = [](double c0) {
     return c0 > 0.0 ? std::numeric_limits<double>::quiet_NaN() : 0.0;
   };
   const auto negative = [](double c0) { return -1e-6 * c0; };
-  EXPECT_THROW(
-      (void)field.step_reactive_surface(Time::milliseconds(5.0), not_finite),
-      NumericsError);
-  EXPECT_THROW(
-      (void)field.step_reactive_surface(Time::milliseconds(5.0), negative),
-      NumericsError);
+  EXPECT_THROW((void)step_reactive(field, Time::milliseconds(5.0), not_finite),
+               NumericsError);
+  EXPECT_THROW((void)step_reactive(field, Time::milliseconds(5.0), negative),
+               NumericsError);
 }
 
 TEST(Diffusion, ZeroBulkGivesZeroFlux) {
-  DiffusionField field(Diffusivity::m2_per_s(kD), DiffusionGrid{25e-6, 50},
-                       Concentration{});
+  DiffusionFieldBatch field = one_field(
+      Diffusivity::m2_per_s(kD), DiffusionGrid{25e-6, 50}, Concentration{});
   const auto sink = [](double c0) { return 1e-6 * c0 / (1.0 + c0); };
   for (int k = 0; k < 100; ++k) {
-    EXPECT_NEAR(field.step_reactive_surface(Time::milliseconds(5.0), sink),
+    EXPECT_NEAR(step_reactive(field, Time::milliseconds(5.0), sink),
                 0.0, 1e-15);
   }
-  EXPECT_DOUBLE_EQ(field.surface_concentration().milli_molar(), 0.0);
+  EXPECT_DOUBLE_EQ(field.surface_concentration(0).milli_molar(), 0.0);
 }
 
 TEST(Diffusion, ProfileStaysWithinPhysicalBounds) {
   const Concentration bulk = Concentration::milli_molar(3.0);
-  DiffusionField field(Diffusivity::m2_per_s(kD), DiffusionGrid{25e-6, 80},
-                       bulk);
+  DiffusionFieldBatch field = one_field(
+      Diffusivity::m2_per_s(kD), DiffusionGrid{25e-6, 80}, bulk);
   const auto sink = [](double c0) { return 1e-5 * c0 / (0.5 + c0); };
   for (int k = 0; k < 500; ++k) {
-    field.step_reactive_surface(Time::milliseconds(10.0), sink);
-    for (double c : field.profile_milli_molar()) {
+    step_reactive(field, Time::milliseconds(10.0), sink);
+    for (double c : field.profile_milli_molar(0)) {
       ASSERT_GE(c, 0.0);
       ASSERT_LE(c, 3.0 + 1e-9);
     }
   }
   // Surface is depleted relative to bulk, profile is monotone outward.
-  const auto profile = field.profile_milli_molar();
+  const auto profile = field.profile_milli_molar(0);
   EXPECT_LT(profile.front(), profile.back());
 }
 
 TEST(Diffusion, ResetRestoresUniformField) {
-  DiffusionField field(Diffusivity::m2_per_s(kD), DiffusionGrid{25e-6, 50},
-                       Concentration::milli_molar(1.0));
+  DiffusionFieldBatch field =
+      one_field(Diffusivity::m2_per_s(kD), DiffusionGrid{25e-6, 50},
+                Concentration::milli_molar(1.0));
   for (int k = 0; k < 50; ++k) {
-    field.step_clamped_surface(Time::milliseconds(5.0), Concentration{});
+    step_clamped(field, Time::milliseconds(5.0), Concentration{});
   }
-  field.reset(Concentration::milli_molar(4.0));
-  for (double c : field.profile_milli_molar()) {
+  const Concentration refill = Concentration::milli_molar(4.0);
+  field.reset(std::span(&refill, 1));
+  for (double c : field.profile_milli_molar(0)) {
     EXPECT_DOUBLE_EQ(c, 4.0);
   }
-  EXPECT_DOUBLE_EQ(field.bulk().milli_molar(), 4.0);
+  EXPECT_DOUBLE_EQ(field.bulk(0).milli_molar(), 4.0);
 }
 
 TEST(Diffusion, RecommendedDomainContainsDepletionLayer) {
@@ -179,17 +203,17 @@ TEST(Diffusion, RecommendedDomainContainsDepletionLayer) {
 }
 
 TEST(Diffusion, RejectsInvalidConstruction) {
-  EXPECT_THROW(DiffusionField(Diffusivity::m2_per_s(0.0),
-                              DiffusionGrid{25e-6, 50},
-                              Concentration::milli_molar(1.0)),
+  EXPECT_THROW((void)one_field(Diffusivity::m2_per_s(0.0),
+                               DiffusionGrid{25e-6, 50},
+                               Concentration::milli_molar(1.0)),
                SpecError);
-  EXPECT_THROW(DiffusionField(Diffusivity::m2_per_s(kD),
-                              DiffusionGrid{25e-6, 2},
-                              Concentration::milli_molar(1.0)),
+  EXPECT_THROW((void)one_field(Diffusivity::m2_per_s(kD),
+                               DiffusionGrid{25e-6, 2},
+                               Concentration::milli_molar(1.0)),
                SpecError);
-  EXPECT_THROW(DiffusionField(Diffusivity::m2_per_s(kD),
-                              DiffusionGrid{0.0, 50},
-                              Concentration::milli_molar(1.0)),
+  EXPECT_THROW((void)one_field(Diffusivity::m2_per_s(kD),
+                               DiffusionGrid{0.0, 50},
+                               Concentration::milli_molar(1.0)),
                SpecError);
 }
 
@@ -201,13 +225,13 @@ class DiffusionConvergence : public ::testing::TestWithParam<std::size_t> {
 TEST_P(DiffusionConvergence, SteadyFluxGridIndependent) {
   const std::size_t nodes = GetParam();
   const auto steady = [&](std::size_t n) {
-    DiffusionField field(Diffusivity::m2_per_s(kD),
-                         DiffusionGrid{25e-6, n},
-                         Concentration::milli_molar(1.0));
+    DiffusionFieldBatch field = one_field(Diffusivity::m2_per_s(kD),
+                                          DiffusionGrid{25e-6, n},
+                                          Concentration::milli_molar(1.0));
     const auto sink = [](double c0) { return 3e-6 * c0 / (1.5 + c0); };
     double flux = 0.0;
     for (int k = 0; k < 2000; ++k) {
-      flux = field.step_reactive_surface(Time::milliseconds(5.0), sink);
+      flux = step_reactive(field, Time::milliseconds(5.0), sink);
     }
     return flux;
   };

@@ -1,8 +1,9 @@
-// Batched SoA diffusion stepper: per-lane bit-identity against K
-// independent DiffusionFields across mixed boundary schedules, plus the
-// engine-level guarantee that cohort batching is byte-invisible — panel
-// and calibration batches produce identical bytes with the lockstep
-// prefill on or off, at any worker count, cache on or off.
+// Batched SoA diffusion stepper: per-lane bit-identity of a K-lane batch
+// (striped solve_many) against K one-lane batches (plain solve) across
+// mixed boundary schedules, plus the engine-level guarantee that cohort
+// batching is byte-invisible — panel and calibration batches produce
+// identical bytes with the lockstep prefill on or off, at any worker
+// count, cache on or off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,18 +12,18 @@
 #include <tuple>
 #include <vector>
 
+#include "core/catalog.hpp"
 #include "core/platform.hpp"
-#include "transport/diffusion.hpp"
+#include "obs/span.hpp"
 #include "transport/diffusion_batch.hpp"
 
 namespace biosens::core {
 namespace {
 
-using transport::DiffusionField;
 using transport::DiffusionFieldBatch;
 using transport::DiffusionGrid;
 
-// --- lane-by-lane identity vs independent serial fields -------------
+// --- lane-by-lane identity vs independent one-lane batches ----------
 
 /// Randomized cohort: per-lane bulks, Michaelis-Menten parameters, and
 /// affine production terms. A steep cohort's sinks are far faster than
@@ -51,19 +52,23 @@ Cohort make_cohort(std::size_t lanes, std::uint64_t seed, bool steep) {
 class BatchIdentity
     : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
-TEST_P(BatchIdentity, MixedScheduleMatchesSerialFieldsBitwise) {
+TEST_P(BatchIdentity, MixedScheduleMatchesOneLaneBatchesBitwise) {
   const auto lanes = static_cast<std::size_t>(std::get<0>(GetParam()));
   const bool steep = std::get<1>(GetParam());
   const Diffusivity d = Diffusivity::m2_per_s(6.7e-10);
   const DiffusionGrid grid{200e-6, 48};
   const Cohort cohort = make_cohort(lanes, 7000 + lanes, steep);
 
+  // The K-lane batch runs the striped solve_many; each one-lane batch
+  // runs the plain solve(), so two solver paths are compared.
   DiffusionFieldBatch batch(d, grid, cohort.bulks);
-  std::vector<DiffusionField> serial;
-  serial.reserve(lanes);
+  std::vector<DiffusionFieldBatch> single;
+  single.reserve(lanes);
   for (std::size_t k = 0; k < lanes; ++k) {
-    serial.emplace_back(d, grid, cohort.bulks[k]);
+    single.emplace_back(d, grid, std::span(&cohort.bulks[k], 1));
   }
+  double reference = 0.0;
+  const std::span<double> one(&reference, 1);
 
   const auto mm_flux = [&](std::size_t k, double surface_mm) {
     const double c = std::max(surface_mm, 0.0);
@@ -75,8 +80,8 @@ TEST_P(BatchIdentity, MixedScheduleMatchesSerialFieldsBitwise) {
     for (int s = 0; s < steps; ++s) {
       batch.step_reactive_surface(dt, mm_flux, flux);
       for (std::size_t k = 0; k < lanes; ++k) {
-        const double reference = serial[k].step_reactive_surface(
-            dt, [&](double c) { return mm_flux(k, c); });
+        single[k].step_reactive_surface(
+            dt, [&](std::size_t, double c) { return mm_flux(k, c); }, one);
         // Bit-identity across the whole flux history, not closeness.
         ASSERT_EQ(flux[k], reference) << "reactive lane " << k;
       }
@@ -89,8 +94,8 @@ TEST_P(BatchIdentity, MixedScheduleMatchesSerialFieldsBitwise) {
   for (int s = 0; s < 10; ++s) {
     batch.step_clamped_surface(dt, Concentration::milli_molar(0.0), flux);
     for (std::size_t k = 0; k < lanes; ++k) {
-      const double reference = serial[k].step_clamped_surface(
-          dt, Concentration::milli_molar(0.0));
+      single[k].step_clamped_surface(dt, Concentration::milli_molar(0.0),
+                                     one);
       ASSERT_EQ(flux[k], reference) << "clamped lane " << k;
     }
   }
@@ -99,8 +104,8 @@ TEST_P(BatchIdentity, MixedScheduleMatchesSerialFieldsBitwise) {
   for (int s = 0; s < 10; ++s) {
     batch.step_affine_surface(dt, kAffineRate, cohort.production, flux);
     for (std::size_t k = 0; k < lanes; ++k) {
-      const double reference = serial[k].step_affine_surface(
-          dt, kAffineRate, cohort.production[k]);
+      single[k].step_affine_surface(
+          dt, kAffineRate, std::span(&cohort.production[k], 1), one);
       ASSERT_EQ(flux[k], reference) << "affine lane " << k;
     }
   }
@@ -110,21 +115,20 @@ TEST_P(BatchIdentity, MixedScheduleMatchesSerialFieldsBitwise) {
 
   for (std::size_t k = 0; k < lanes; ++k) {
     const std::vector<double> profile = batch.profile_milli_molar(k);
-    const std::span<const double> reference =
-        serial[k].profile_milli_molar();
-    ASSERT_EQ(profile.size(), reference.size());
+    const std::vector<double> expected = single[k].profile_milli_molar(0);
+    ASSERT_EQ(profile.size(), expected.size());
     for (std::size_t i = 0; i < profile.size(); ++i) {
-      ASSERT_EQ(profile[i], reference[i])
+      ASSERT_EQ(profile[i], expected[i])
           << "profile lane " << k << " node " << i;
     }
     EXPECT_EQ(batch.surface_concentration(k).milli_molar(),
-              serial[k].surface_concentration().milli_molar());
+              single[k].surface_concentration(0).milli_molar());
   }
 
   // Four boundary/dt regimes -> four shared factorizations for the
-  // WHOLE batch; each serial field paid the same count on its own.
+  // WHOLE batch; each one-lane batch paid the same count on its own.
   EXPECT_EQ(batch.factorizations(), 4u);
-  for (const DiffusionField& field : serial) {
+  for (const DiffusionFieldBatch& field : single) {
     EXPECT_EQ(field.factorizations(), 4u);
   }
 }
@@ -261,7 +265,7 @@ TEST_F(CohortBatchingPanels, BatchedRoutingIsByteInvisibleAcrossWorkers) {
   PanelBatchOptions options;
   options.seed = 99;
 
-  // Serial per-field reference: cohort batching explicitly off.
+  // Per-job reference: cohort batching explicitly off.
   engine::Engine serial(engine::EngineOptions{.cohort_batching = false});
   const std::string reference =
       fingerprint(platform_.run_panel_batch(samples_, serial, options)
@@ -319,6 +323,29 @@ TEST(CohortBatchingCalibration, BatchCalibrationBytesUnchanged) {
 
   EXPECT_EQ(calibration_fingerprint(with_batching),
             calibration_fingerprint(without_batching));
+}
+
+TEST(CohortBatchingCalibration, BatchLocalCacheKeepsEveryPrefilledTrace) {
+  // With the engine cache off, a batch-local cache carries the prefilled
+  // traces to the calibration jobs. None may be evicted before its job
+  // reads it: the only transport spans are the lockstep groups' own, so
+  // no job steps a chronoamperometric run again.
+  Platform platform;
+  for (const CatalogEntry& entry : extended_catalog()) {
+    platform.add_sensor(entry);
+  }
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{3}}) {
+    engine::Engine engine(engine::EngineOptions{.workers = workers});
+    ASSERT_EQ(engine.sim_cache(), nullptr);
+    obs::TraceSession session;
+    session.start();
+    platform.calibrate_all_batch(engine, 2012, quick_options());
+    session.stop();
+    const std::uint64_t groups = engine.snapshot().batch_groups;
+    EXPECT_GT(groups, 0u);
+    EXPECT_EQ(session.layer_latency(Layer::kTransport).count(), groups)
+        << workers << " workers";
+  }
 }
 
 }  // namespace

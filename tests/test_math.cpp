@@ -159,6 +159,12 @@ TEST(SolveMany, SingleLaneIsSolve) {
   s.factorization.solve_many(s.rhs, batched, 1);
   s.factorization.solve(s.rhs, serial);
   EXPECT_EQ(batched, serial);
+  // The striped kernels agree with solve() at one lane too.
+  std::vector<double> wide(s.n, 0.0), scalar(s.n, 0.0);
+  s.factorization.solve_many_wide(s.rhs, wide, 1);
+  s.factorization.solve_many_scalar(s.rhs, scalar, 1);
+  EXPECT_EQ(wide, serial);
+  EXPECT_EQ(scalar, serial);
 }
 
 TEST(SolveMany, RejectsBadShapes) {
