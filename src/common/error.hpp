@@ -10,6 +10,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace biosens {
 
@@ -48,10 +49,13 @@ class OverloadedError : public Error {
 };
 
 /// Throws E with `what` when `condition` is false. Used to validate
-/// preconditions at public API boundaries (I.5).
+/// preconditions at public API boundaries (I.5). The message is a view,
+/// so a literal becomes a std::string only on failure: checks on hot
+/// paths (every solver step, every surface-flux evaluation) allocate
+/// nothing when they pass.
 template <class E = Error>
-inline void require(bool condition, const std::string& what) {
-  if (!condition) throw E(what);
+inline void require(bool condition, std::string_view what) {
+  if (!condition) throw E(std::string(what));
 }
 
 }  // namespace biosens

@@ -26,6 +26,26 @@ double chrono_domain_length_m(const ChronoamperometrySim& sim) {
                        sim.options().duration);
 }
 
+Expected<void> transport_error(const char* message) {
+  return make_error(ErrorCode::kSpec, Layer::kTransport, "diffusion-field",
+                    message);
+}
+
+/// The preconditions DiffusionFieldBatch (and its Crank-Nicolson
+/// operator) would reject for this lane, in the order they check them.
+Expected<void> check_transport(const ChronoamperometrySim& sim) {
+  if (!(sim.cell().layer().substrate_diffusivity.m2_per_s() > 0.0)) {
+    return transport_error("diffusivity must be positive");
+  }
+  if (!(chrono_domain_length_m(sim) > 0.0)) {
+    return transport_error("domain length must be positive");
+  }
+  if (!(sim.cell().substrate_bulk().milli_molar() >= 0.0)) {
+    return transport_error("bulk concentration must be non-negative");
+  }
+  return ok();
+}
+
 }  // namespace
 
 bool chrono_batch_compatible(const ChronoamperometrySim& a,
@@ -80,6 +100,16 @@ BIOSENS_HOT Expected<ChronoBatchResult> try_run_chrono_batch(
                  Expected<ChronoBatchResult>(kinetics_result.error()));
     }
     kinetics.push_back(*kinetics_result);
+    // The DiffusionFieldBatch constructor contract, checked per lane
+    // right after the kinetics and with the constructor's messages, so
+    // a bad transport setup fails here as an Expected instead of
+    // throwing (the cohort prefill runs on the caller's thread, outside
+    // the engine's exception adapter).
+    auto transport_result = span.watch(check_transport(sim));
+    if (!transport_result) {
+      return ctx("chronoamperometry",
+                 Expected<ChronoBatchResult>(transport_result.error()));
+    }
     gamma[k] = layer.wired_coverage.mol_per_m2();
     n_f[k] = layer.electrons * constants::kFaraday;
     area[k] = layer.geometric_area.square_meters();
@@ -108,26 +138,6 @@ BIOSENS_HOT Expected<ChronoBatchResult> try_run_chrono_batch(
   transport::DiffusionGrid grid;
   grid.nodes = options.grid_nodes;
   grid.length_m = chrono_domain_length_m(sims[0]);
-
-  // Pre-validate the DiffusionFieldBatch constructor contract so this
-  // function reports failure through Expected instead of throwing (the
-  // cohort prefill runs on the caller's thread, outside the engine's
-  // exception adapter).
-  if (!(sims[0].cell().layer().substrate_diffusivity.m2_per_s() > 0.0) ||
-      !(grid.length_m > 0.0) || grid.nodes < 3) {
-    return ctx("chronoamperometry",
-               Expected<ChronoBatchResult>(make_error(
-                   ErrorCode::kSpec, Layer::kElectrochem, "chrono-batch",
-                   "batch transport topology is invalid")));
-  }
-  for (const Concentration& bulk : bulks) {
-    if (!(bulk.milli_molar() >= 0.0)) {
-      return ctx("chronoamperometry",
-                 Expected<ChronoBatchResult>(make_error(
-                     ErrorCode::kSpec, Layer::kElectrochem, "chrono-batch",
-                     "bulk concentration must be non-negative")));
-    }
-  }
   transport::DiffusionFieldBatch batch(
       sims[0].cell().layer().substrate_diffusivity, grid, bulks);
 

@@ -131,6 +131,25 @@ TEST(Chrono, RejectsBadOptions) {
       SpecError);
 }
 
+// A transport setup the diffusion kernel cannot step (a Sample refuses
+// negative concentrations, so a non-positive diffusivity is the bad
+// input a caller can build) is a structured transport spec error from
+// try_run, raised by run() as SpecError.
+TEST(Chrono, BadTransportSetupIsTransportSpecError) {
+  electrode::EffectiveLayer layer = glucose_layer();
+  layer.substrate_diffusivity = Diffusivity::m2_per_s(0.0);
+  Cell cell(std::move(layer),
+            chem::calibration_sample("glucose", Concentration::milli_molar(1.0)),
+            Hydrodynamics{true, 400.0});
+  const ChronoamperometrySim sim(std::move(cell), standard_oxidase_step());
+  const Expected<TimeSeries> trace = sim.try_run();
+  ASSERT_FALSE(trace);
+  EXPECT_EQ(trace.error().code, ErrorCode::kSpec);
+  EXPECT_EQ(trace.error().layer, Layer::kTransport);
+  EXPECT_EQ(trace.error().message, "diffusivity must be positive");
+  EXPECT_THROW((void)sim.run(), SpecError);
+}
+
 // Property: steady state scales linearly with loading in the kinetic
 // regime (low loading, low concentration).
 class ChronoLoading : public ::testing::TestWithParam<double> {};

@@ -133,8 +133,11 @@ TEST_P(BatchIdentity, MixedScheduleMatchesOneLaneBatchesBitwise) {
   }
 }
 
+// K >= 3 only: a one-lane batch compared with one-lane batches would
+// compare a path with itself. The one-lane solve() against the striped
+// solve_many is pinned bitwise by test_math's SolveMany.SingleLaneIsSolve.
 INSTANTIATE_TEST_SUITE_P(CohortSizes, BatchIdentity,
-                         ::testing::Combine(::testing::Values(1, 3, 8, 17),
+                         ::testing::Combine(::testing::Values(3, 8, 17),
                                             ::testing::Bool()));
 
 TEST(DiffusionFieldBatch, ResetMatchesFreshConstruction) {
