@@ -13,8 +13,8 @@
 #   5. tsan               ThreadSanitizer over the engine tests and
 #                         the obs event sink (per-thread buffers,
 #                         recorder rings)
-#   6. ubsan              UndefinedBehaviorSanitizer over error paths
-#                         and the diffusion kernels
+#   6. ubsan              UndefinedBehaviorSanitizer over error paths,
+#                         QC and panel retries, and the diffusion kernels
 #   7. asan               AddressSanitizer+LeakSanitizer over the
 #                         allocation-bearing engine/cache/obs tests
 #                         and the diffusion kernels
@@ -156,11 +156,12 @@ run_ubsan() {
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DBIOSENS_SANITIZE=undefined
   cmake --build build-ubsan -j "${JOBS}" \
-    --target test_expected test_engine test_trace test_diffusion \
-    test_diffusion_batch test_chronoamperometry test_peroxide
+    --target test_expected test_engine test_engine_determinism test_qc \
+    test_trace test_diffusion test_diffusion_batch test_chronoamperometry \
+    test_peroxide
   UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
     ctest --test-dir build-ubsan \
-    -R 'expected|engine$|trace|diffusion|chronoamperometry|peroxide' \
+    -R 'expected|engine|qc|trace|diffusion|chronoamperometry|peroxide' \
     --output-on-failure
 }
 

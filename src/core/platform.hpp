@@ -125,7 +125,8 @@ class Platform {
   /// depends only on options.seed and the sample order, not on the
   /// engine's worker count. Panels whose QC rejects any assay are
   /// re-measured under options.retry (each attempt with its own derived
-  /// stream); the last attempt's report is returned either way.
+  /// stream); the last attempt's report is returned either way. A
+  /// not-detected analyte (QcFlag::kNoResponse) does not reject.
   /// Thread-safe: assay() mutates nothing. Requires calibrate_all().
   [[nodiscard]] PanelBatchResult run_panel_batch(
       const std::vector<chem::Sample>& samples, engine::Engine& engine,

@@ -10,13 +10,15 @@ namespace biosens::core {
 namespace {
 
 void add(QcReport& report, QcFlag flag) {
-  report.accepted = false;
+  if (rejects(flag)) report.accepted = false;
   report.flags.push_back(flag);
   if (!report.summary.empty()) report.summary += "; ";
   report.summary += to_string(flag);
 }
 
 }  // namespace
+
+bool rejects(QcFlag flag) { return flag != QcFlag::kNoResponse; }
 
 std::string_view to_string(QcFlag flag) {
   switch (flag) {
@@ -71,9 +73,8 @@ QcReport review_calibration(const CatalogEntry& design,
 }
 
 QcReport review_assay(const analysis::CalibrationResult& calibration,
-                      double response_a, const QcPolicy& /*policy*/) {
+                      double response_a) {
   QcReport report;
-  report.summary.clear();
 
   const double span_top = calibration.fit.predict(
       calibration.linear_range_high.milli_molar());
@@ -85,7 +86,8 @@ QcReport review_assay(const analysis::CalibrationResult& calibration,
       3.0 * calibration.blank_sigma_a) {
     add(report, QcFlag::kNoResponse);
   }
-  if (report.accepted) report.summary = "assay accepted";
+  // A not-detected channel is accepted but keeps its finding's summary.
+  if (report.flags.empty()) report.summary = "assay accepted";
   return report;
 }
 

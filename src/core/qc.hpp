@@ -17,15 +17,21 @@
 
 namespace biosens::core {
 
-/// One QC finding.
+/// One QC finding; rejects() gives its severity.
 enum class QcFlag {
   kCalibrationNonlinear,   ///< R^2 of the linear region below threshold
   kSensitivityCollapsed,   ///< slope far below the device's design value
   kBlankUnstable,          ///< blank sigma far above the design noise
   kRangeTruncated,         ///< detected range < half the design range
   kResponseOutOfRange,     ///< assay response beyond the calibrated span
-  kNoResponse,             ///< assay response indistinguishable from blank
+  /// Assay response within 3 sigma of the blank: the analyte is not
+  /// detected (< LOD). A reported finding, not a rejection.
+  kNoResponse,
 };
+
+/// Whether a flag marks a bad measurement, so the report is not
+/// accepted (and a panel batch re-measures it).
+[[nodiscard]] bool rejects(QcFlag flag);
 
 /// Thresholds of the acceptance checks.
 struct QcPolicy {
@@ -37,9 +43,9 @@ struct QcPolicy {
   double min_range_fraction = 0.5;
 };
 
-/// Outcome of a calibration QC review.
+/// Outcome of a calibration or assay QC review.
 struct QcReport {
-  bool accepted = true;
+  bool accepted = true;  ///< no rejecting flag was raised
   std::vector<QcFlag> flags;
   std::string summary;  ///< human-readable one-liner
 };
@@ -49,11 +55,10 @@ struct QcReport {
                                           const ProtocolOutcome& outcome,
                                           const QcPolicy& policy = {});
 
-/// Reviews one assay response against an accepted calibration: flags
-/// out-of-span and no-response readings.
+/// Reviews one assay response against an accepted calibration: rejects
+/// out-of-span readings and flags (without rejecting) no-response ones.
 [[nodiscard]] QcReport review_assay(
-    const analysis::CalibrationResult& calibration, double response_a,
-    const QcPolicy& policy = {});
+    const analysis::CalibrationResult& calibration, double response_a);
 
 [[nodiscard]] std::string_view to_string(QcFlag flag);
 

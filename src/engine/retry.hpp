@@ -1,12 +1,14 @@
 // Retry policy: re-measurement with exponential backoff in simulated time.
 //
-// A QC-rejected assay (fouled electrode, clipped amplifier, no response)
-// is not a crash — the instrument re-measures after letting the cell
-// re-equilibrate. The policy models that: up to max_attempts total
-// measurements, with an exponentially growing equilibration delay
-// between them. The delay is *simulated* time: it is accumulated into
-// the job report and the metrics (it would dominate a real instrument's
-// latency) but never slept, so batches run as fast as the CPU allows.
+// A QC-rejected assay (fouled electrode, clipped amplifier, response
+// beyond the calibrated span) is not a crash — the instrument
+// re-measures after letting the cell re-equilibrate. An analyte below
+// its LOD is a result, not a rejection, and is not re-measured. The
+// policy models that: up to max_attempts total measurements, with an
+// exponentially growing equilibration delay between them. The delay is
+// *simulated* time: it is accumulated into the job report and the
+// metrics (it would dominate a real instrument's latency) but never
+// slept, so batches run as fast as the CPU allows.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,8 @@
 // The core->classify bridge and the Platform's unmixed assay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/catalog.hpp"
 #include "core/classification.hpp"
 #include "core/platform.hpp"
@@ -83,8 +85,15 @@ TEST_F(UnmixedPlatformFixture, QcRidesAlongWithAssays) {
   const PanelReport report = panel_.assay(sample, rng);
   EXPECT_TRUE(report.for_target("cyclophosphamide").qc.accepted)
       << report.for_target("cyclophosphamide").qc.summary;
-  // The drug-free channel flags "no response".
-  EXPECT_FALSE(report.for_target("ifosfamide").qc.accepted);
+  // The drug-free channel reports "not detected": flagged, below LOD,
+  // and accepted.
+  const AssayResult& absent = report.for_target("ifosfamide");
+  EXPECT_FALSE(absent.above_lod);
+  EXPECT_TRUE(absent.qc.accepted) << absent.qc.summary;
+  EXPECT_NE(std::find(absent.qc.flags.begin(), absent.qc.flags.end(),
+                      QcFlag::kNoResponse),
+            absent.qc.flags.end())
+      << absent.qc.summary;
 }
 
 TEST(UnmixedPlatform, DegeneratePanelIsRefused) {

@@ -3,6 +3,7 @@
 // runs. Exercised end-to-end through the platform and workload wiring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -143,6 +144,59 @@ TEST_F(EngineDeterminism, BatchReportsArriveInSampleOrder) {
     EXPECT_EQ(result.jobs[i].kind, engine::JobKind::kPanelAssay);
   }
   EXPECT_TRUE(result.all_accepted());
+}
+
+/// One buffer sample carrying only glucose, at `glucose_mm`.
+std::vector<chem::Sample> glucose_only(double glucose_mm) {
+  chem::Sample s = chem::blank_sample();
+  s.set("glucose", Concentration::milli_molar(glucose_mm));
+  return {s};
+}
+
+bool has_flag(const QcReport& qc, QcFlag flag) {
+  return std::find(qc.flags.begin(), qc.flags.end(), flag) != qc.flags.end();
+}
+
+TEST_F(EngineDeterminism, AbsentAnalyteIsReportedNotRemeasured) {
+  // The cyclophosphamide channel has nothing to detect. "Not detected"
+  // is a result, not a bad measurement: the panel is accepted on its
+  // first attempt and the absent channel says why it reads nothing.
+  const std::vector<chem::Sample> samples = glucose_only(0.5);
+  for (const std::size_t workers : {0u, 3u}) {
+    engine::Engine pool(engine::EngineOptions{.workers = workers});
+    const PanelBatchResult result = platform_.run_panel_batch(samples, pool);
+    ASSERT_EQ(result.jobs.size(), 1u);
+    EXPECT_EQ(result.jobs[0].attempts, 1u) << workers << " workers";
+    EXPECT_TRUE(result.jobs[0].accepted) << workers << " workers";
+    for (const AssayResult& r : result.reports[0].results) {
+      EXPECT_TRUE(r.qc.accepted) << r.target << ": " << r.qc.summary;
+      if (r.target == "glucose") continue;
+      EXPECT_FALSE(r.above_lod) << r.target;
+      EXPECT_TRUE(has_flag(r.qc, QcFlag::kNoResponse))
+          << r.target << ": " << r.qc.summary;
+    }
+  }
+}
+
+TEST_F(EngineDeterminism, OutOfSpanResponseIsRemeasuredAndRejected) {
+  // Glucose far beyond the calibrated span is a measurement QC refuses
+  // to extrapolate: every attempt is rejected and the panel is too.
+  const std::vector<chem::Sample> samples = glucose_only(60.0);
+  const PanelBatchOptions options;
+  for (const std::size_t workers : {0u, 3u}) {
+    engine::Engine pool(engine::EngineOptions{.workers = workers});
+    const PanelBatchResult result =
+        platform_.run_panel_batch(samples, pool, options);
+    ASSERT_EQ(result.jobs.size(), 1u);
+    EXPECT_EQ(result.jobs[0].attempts, options.retry.max_attempts)
+        << workers << " workers";
+    EXPECT_FALSE(result.jobs[0].accepted) << workers << " workers";
+    EXPECT_FALSE(result.jobs[0].error.has_value());
+    const AssayResult& glucose = result.reports[0].for_target("glucose");
+    EXPECT_FALSE(glucose.qc.accepted);
+    EXPECT_TRUE(has_flag(glucose.qc, QcFlag::kResponseOutOfRange))
+        << glucose.qc.summary;
+  }
 }
 
 TEST(EngineCalibration, BatchCalibrationIdenticalAcrossWorkerCounts) {

@@ -94,12 +94,15 @@ TEST_F(QcFixture, AssayQcFlagsOutOfSpanResponses) {
 }
 
 TEST_F(QcFixture, AssayQcFlagsNoResponse) {
+  // A response at the blank is a valid "not detected" reading: flagged
+  // and reported, but accepted, so nothing re-measures it.
   const ProtocolOutcome outcome = calibrate(entry_.spec, 7);
   const QcReport report =
       review_assay(outcome.result, outcome.result.fit.intercept);
-  EXPECT_FALSE(report.accepted);
-  ASSERT_FALSE(report.flags.empty());
+  EXPECT_TRUE(report.accepted) << report.summary;
+  ASSERT_EQ(report.flags.size(), 1u);
   EXPECT_EQ(report.flags.front(), QcFlag::kNoResponse);
+  EXPECT_EQ(report.summary, to_string(QcFlag::kNoResponse));
 }
 
 TEST(QcFlags, AllHaveLabels) {
